@@ -279,10 +279,11 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	projection := 2 * n * 8 * ((n + 63) / 64)
 	// The catalog holds the shared closure; reuse it for the dense-tier
 	// projection and the component count instead of recomputing.
-	reach, err := eng.Catalog().Reach("large", 0)
+	v, err := eng.Catalog().View("large")
 	if err != nil {
 		log.Fatal(err)
 	}
+	reach := v.Reach(context.Background(), 0)
 	rep := largeReport{
 		Timestamp:                time.Now().UTC().Format(time.RFC3339),
 		GoVersion:                runtime.Version(),
@@ -335,10 +336,11 @@ func engineWorkload(total, clients, dataNodes, avgDeg, patNodes int) (int, time.
 	pool := make([]engine.Request, 48)
 	for i := range pool {
 		name := names[i%len(names)]
-		g, err := eng.Catalog().Get(name)
+		v, err := eng.Catalog().View(name)
 		if err != nil {
 			log.Fatal(err)
 		}
+		g := v.Graph
 		pool[i] = engine.Request{
 			Pattern:   carvePattern(g, patNodes, int64(100+i)),
 			GraphName: name,

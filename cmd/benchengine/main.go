@@ -82,10 +82,11 @@ func main() {
 	pool := make([]engine.Request, *poolSize)
 	for i := range pool {
 		name := names[i%len(names)]
-		data, err := eng.Catalog().Get(name)
+		v, err := eng.Catalog().View(name)
 		if err != nil {
 			log.Fatal(err)
 		}
+		data := v.Graph
 		pool[i] = engine.Request{
 			Pattern:   carvePattern(data, *patNodes, int64(100+i)),
 			GraphName: name,

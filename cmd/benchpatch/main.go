@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -121,7 +122,7 @@ func main() {
 		if err := c.Register("web", g.Clone()); err != nil {
 			log.Fatal(err)
 		}
-		if _, _, _, err := c.GetWithIndex("web", 0); err != nil {
+		if _, _, _, err := c.GetWithIndexCtx(context.Background(), "web", 0); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func buildStorm(g *graph.Graph, ins, outs, cores []graph.NodeID, n int) []*graph
 func applyStorm(c *catalog.Catalog, storm []*graph.Patch, label string) float64 {
 	start := time.Now()
 	for i, p := range storm {
-		if _, err := c.Apply("web", p); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), "web", p); err != nil {
 			log.Fatalf("%s: storm patch %d: %v", label, i, err)
 		}
 	}
@@ -258,14 +259,16 @@ func applyStorm(c *catalog.Catalog, storm []*graph.Patch, label string) float64 
 // sizes, then sampled Reachable pairs — half uniform, half anchored on
 // nodes the storm touched, where a stale closure would actually show.
 func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
-	gi, ri, err := inc.GetWithReach("web", 0)
+	vi, err := inc.View("web")
 	if err != nil {
 		log.Fatal(err)
 	}
-	gr, rr, err := reb.GetWithReach("web", 0)
+	vr, err := reb.View("web")
 	if err != nil {
 		log.Fatal(err)
 	}
+	gi, ri := vi.Graph, vi.Reach(context.Background(), 0)
+	gr, rr := vr.Graph, vr.Reach(context.Background(), 0)
 	if gi.NumNodes() != gr.NumNodes() || gi.NumEdges() != gr.NumEdges() {
 		log.Fatalf("graphs diverged: incremental %d/%d vs rebuild %d/%d",
 			gi.NumNodes(), gi.NumEdges(), gr.NumNodes(), gr.NumEdges())
@@ -322,8 +325,10 @@ func engineStorm(writers, perWriter int, coalesce bool, rep *report) float64 {
 	if err := eng.Register("web", g); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Catalog().Reach("web", 0); err != nil {
+	if v, err := eng.Catalog().View("web"); err != nil {
 		log.Fatal(err)
+	} else {
+		v.Reach(context.Background(), 0)
 	}
 	// Untimed warm-up: fault in the WAL path and the patched-closure
 	// machinery so the timed section measures steady state, not first

@@ -117,10 +117,11 @@ func main() {
 	}
 	mutate := func() {
 		name := names[rng.Intn(len(names))]
-		g, err := primary.Catalog().Get(name)
+		v, err := primary.Catalog().View(name)
 		if err != nil {
 			log.Fatal(err)
 		}
+		g := v.Graph
 		if _, err := primary.ApplyPatch(name, smallPatch(rng, g)); err != nil {
 			log.Fatal(err)
 		}

@@ -171,10 +171,11 @@ func runPass(m mode, workers, clients, totalReqs int) (rps float64, traced uint6
 	pool := make([]engine.Request, 48)
 	for i := range pool {
 		name := names[i%len(names)]
-		data, err := eng.Catalog().Get(name)
+		v, err := eng.Catalog().View(name)
 		if err != nil {
 			log.Fatal(err)
 		}
+		data := v.Graph
 		pool[i] = engine.Request{
 			Pattern:   carvePattern(data, 10, int64(100+i)),
 			GraphName: name,

@@ -51,7 +51,8 @@ func main() {
 	// Mutate site/v1 in place: add a page, rewire a link, edit content.
 	// The patch flows through the catalog — closure invalidated and
 	// rebuilt, search index refreshed — and into the WAL.
-	g1, _ := eng.Catalog().Get("site/v1")
+	v1, _ := eng.Catalog().View("site/v1")
+	g1 := v1.Graph
 	n := g1.NumNodes()
 	patched, err := eng.ApplyPatch("site/v1", &graphmatch.GraphPatch{
 		AddNodes:   []graph.Node{{Label: "page", Weight: 1, Content: "breaking: a brand new page appears"}},

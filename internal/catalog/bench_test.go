@@ -32,9 +32,7 @@ func BenchmarkReachHit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Reach("g", 0); err != nil {
-			b.Fatal(err)
-		}
+		reach(b, c, "g", 0)
 	}
 	b.ReportMetric(c.Stats().HitRate()*100, "hit%")
 }
@@ -57,9 +55,7 @@ func BenchmarkReachMiss(b *testing.B) {
 				if i%2 == 0 {
 					name = "b"
 				}
-				if _, err := c.Reach(name, 0); err != nil {
-					b.Fatal(err)
-				}
+				reach(b, c, name, 0)
 			}
 		})
 	}
@@ -75,9 +71,7 @@ func BenchmarkReachParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := c.Reach("g", 0); err != nil {
-				b.Fatal(err)
-			}
+			reach(b, c, "g", 0)
 		}
 	})
 }

@@ -124,9 +124,9 @@ type Stats struct {
 	// TierPolicy is the index tier selection in force (auto, dense or
 	// sparse).
 	TierPolicy string `json:"tier_policy"`
-	// Hits counts Reach calls served from the cache.
+	// Hits counts closure resolutions served from the cache.
 	Hits uint64 `json:"hits"`
-	// Misses counts Reach calls that had to build a closure.
+	// Misses counts closure resolutions that had to build one.
 	Misses uint64 `json:"misses"`
 	// Evictions counts closures dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
@@ -184,10 +184,13 @@ type entry struct {
 	idxCounted bool
 }
 
-// graphEntry is one registered data graph plus its lazily computed,
-// shared content shingle sets (the data-side half of content
-// similarity, which would otherwise be recomputed per request).
+// graphEntry is one committed version of a registered data graph: every
+// Register, Apply and Replace installs a fresh entry, so the pointer
+// identifies the commit. It carries the lazily computed, shared content
+// shingle sets (the data-side half of content similarity, which would
+// otherwise be recomputed per request).
 type graphEntry struct {
+	name        string
 	g           *graph.Graph
 	contentOnce sync.Once
 	contentSets []shingle.Set
@@ -264,10 +267,8 @@ type Catalog struct {
 	patchesRebuild          uint64
 	buildTime               time.Duration
 	residentBytes           int64
-	residentDense           int
-	residentSparse          int
-	denseBytes              int64
-	sparseBytes             int64
+	tierCount               map[closure.Tier]int   // resident indexes per tier
+	tierBytes               map[closure.Tier]int64 // their bytes per tier
 }
 
 // New returns an empty catalog bounding resident closures at
@@ -283,6 +284,8 @@ func New(maxClosures int, opts ...Option) *Catalog {
 		lru:        list.New(),
 		capacity:   maxClosures,
 		tierPolicy: closure.PolicyAuto,
+		tierCount:  make(map[closure.Tier]int),
+		tierBytes:  make(map[closure.Tier]int64),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -329,15 +332,12 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 			return err
 		}
 	}
-	c.graphs[name] = &graphEntry{g: g}
+	c.graphs[name] = &graphEntry{name: name, g: g}
 	if c.onMutate != nil {
 		c.onMutate(name, g, Mutation{})
 	}
 	c.mu.Unlock()
-	// The registration is committed (and durable, with a persister); the
-	// eager closure build is a warm-up and can only fail if a concurrent
-	// Remove already took the name — not a registration failure.
-	_, _ = c.Reach(name, 0)
+	c.warm(name)
 	return nil
 }
 
@@ -392,12 +392,9 @@ type PatchObserver struct {
 	ConeSize func(comps float64)
 }
 
-// Remove drops a graph and every cached closure derived from it.
-func (c *Catalog) Remove(name string) error {
-	return c.RemoveCtx(context.Background(), name)
-}
-
-// RemoveCtx is Remove with a request context for trace attribution.
+// RemoveCtx drops a graph and every cached closure derived from it; ctx
+// carries the request's trace span for the catalog.commit span and the
+// persister.
 func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	sp := trace.SpanFromContext(ctx).Child("catalog.commit")
 	sp.SetStr("op", "remove")
@@ -422,7 +419,7 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	return nil
 }
 
-// Apply patches a registered graph in place: the live-mutation path
+// ApplyCtx patches a registered graph in place: the live-mutation path
 // behind PATCH /v1/graphs/{name}. Registered graphs are shared
 // immutable objects (concurrent matchers and cached closures read
 // them), so the patch is applied copy-on-write — the patched clone is
@@ -438,16 +435,12 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // incremental — no cached closure, the patch reshapes the SCC
 // condensation, or the delta cone blows the cost budget — the closure
 // is invalidated and rebuilt eagerly, like Register's. In-flight
-// requests that resolved the old (graph, closure) pair finish against
-// that consistent pair.
-func (c *Catalog) Apply(name string, p *graph.Patch) (*graph.Graph, error) {
-	return c.ApplyCtx(context.Background(), name, p)
-}
-
-// ApplyCtx is Apply with a request context for trace attribution: the
-// whole commit is recorded as a catalog.commit span (with the
-// incremental-vs-rebuild outcome and delta cone size as attributes)
-// and the persister receives ctx for WAL-append spans.
+// requests keep the View they resolved, and with it the old graph.
+//
+// ctx carries the request's trace span: the whole commit is recorded as
+// a catalog.commit span (with the incremental-vs-rebuild outcome and
+// delta cone size as attributes) and the persister receives ctx for
+// WAL-append spans.
 func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
 	if p == nil || p.Empty() {
 		return nil, fmt.Errorf("%w: empty patch for %q", ErrBadPatch, name)
@@ -543,7 +536,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 				return nil, err
 			}
 		}
-		c.graphs[name] = &graphEntry{g: ng}
+		c.graphs[name] = &graphEntry{name: name, g: ng}
 		if c.onMutate != nil {
 			c.onMutate(name, ng, Mutation{Patch: p, Prev: ge.g})
 		}
@@ -559,13 +552,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		break
 	}
 	if !incremental {
-		// Warm the closure eagerly, like Register. The patch is
-		// committed (and, with a persister, durable) at this point: a
-		// warm-up failure — only possible when a concurrent Remove takes
-		// the name, making the warm-up moot — must not be reported as a
-		// mutation failure, or a client would retry an already-applied
-		// patch.
-		_, _ = c.Reach(name, 0)
+		c.warm(name)
 	}
 	c.mu.Lock()
 	obs := c.patchObs
@@ -599,19 +586,7 @@ func (c *Catalog) installClosureLocked(name string, r *closure.Reach, idx closur
 	c.residentBytes += e.bytes
 	if idx != nil {
 		e.idxOnce.Do(func() { e.idx = idx })
-		ib := int64(idx.Bytes())
-		e.idxBytes = ib
-		e.idxTier = idx.Tier()
-		e.idxCounted = true
-		c.residentBytes += ib
-		switch e.idxTier {
-		case closure.TierSparse:
-			c.residentSparse++
-			c.sparseBytes += ib
-		default:
-			c.residentDense++
-			c.denseBytes += ib
-		}
+		c.accountIndexLocked(e)
 	}
 	c.evictLocked()
 	c.evictBytesLocked(e)
@@ -654,16 +629,14 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 		c.dropClosuresLocked(n)
 	}
 	for _, n := range names {
-		c.graphs[n] = &graphEntry{g: state[n]}
+		c.graphs[n] = &graphEntry{name: n, g: state[n]}
 		if c.onMutate != nil {
 			c.onMutate(n, state[n], Mutation{})
 		}
 	}
 	c.mu.Unlock()
-	// Warm-ups, like Register's: the swap is committed; a warm-up can
-	// only fail if a concurrent mutation already took the name.
 	for _, n := range names {
-		_, _ = c.Reach(n, 0)
+		c.warm(n)
 	}
 	return nil
 }
@@ -673,9 +646,7 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 func (c *Catalog) dropClosuresLocked(name string) {
 	for k, e := range c.closures {
 		if k.name == name {
-			c.lru.Remove(e.elem)
-			c.dropAccountingLocked(e)
-			delete(c.closures, k)
+			c.dropEntryLocked(e)
 		}
 	}
 }
@@ -700,50 +671,126 @@ func (c *Catalog) Export(prepare func()) map[string]*graph.Graph {
 	return out
 }
 
-// dropAccountingLocked retires an entry's contribution to the resident
-// memory stats. Callers hold c.mu.
-func (c *Catalog) dropAccountingLocked(e *entry) {
+// dropEntryLocked removes a cache slot and retires its contribution to
+// the resident memory stats. Callers hold c.mu.
+func (c *Catalog) dropEntryLocked(e *entry) {
+	c.lru.Remove(e.elem)
+	delete(c.closures, e.key)
 	c.residentBytes -= e.bytes + e.idxBytes
 	if e.idxCounted {
-		switch e.idxTier {
-		case closure.TierSparse:
-			c.residentSparse--
-			c.sparseBytes -= e.idxBytes
-		default:
-			c.residentDense--
-			c.denseBytes -= e.idxBytes
-		}
+		c.tierCount[e.idxTier]--
+		c.tierBytes[e.idxTier] -= e.idxBytes
 	}
 	e.bytes, e.idxBytes, e.idxCounted = 0, 0, false
 }
 
-// Get returns the registered graph.
-func (c *Catalog) Get(name string) (*graph.Graph, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.graphs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return e.g, nil
+// accountIndexLocked adds a resident slot's built index to the resident
+// memory stats. Callers hold c.mu.
+func (c *Catalog) accountIndexLocked(e *entry) {
+	e.idxBytes, e.idxTier, e.idxCounted = int64(e.idx.Bytes()), e.idx.Tier(), true
+	c.residentBytes += e.idxBytes
+	c.tierCount[e.idxTier]++
+	c.tierBytes[e.idxTier] += e.idxBytes
 }
 
-// ContentSets returns the cached shingle sets of the named graph's
-// node contents (computed once, on first use, with the default shingle
-// window) together with the graph they index — callers that resolved
-// the graph separately can detect a concurrent Remove/Register swap by
-// comparing pointers.
-func (c *Catalog) ContentSets(name string) (*graph.Graph, []shingle.Set, error) {
+// View is one committed version of a registered graph — the unit every
+// reader resolves. The p-hom algorithms read G2 through three derived
+// inputs (its closure H2, the matcher index, and the similarity matrix
+// mat(), Fig. 3 lines 1–4) and all three must come from the same G2, so
+// a View derives them only from its own commit: a patch that commits
+// after the View was taken never changes what the View returns. Views
+// are cheap values; take one per request and read everything through
+// it.
+type View struct {
+	// Graph is the committed graph (shared and read-only).
+	Graph *graph.Graph
+
+	c *Catalog
+	e *graphEntry
+}
+
+// View resolves the current commit of the named graph.
+func (c *Catalog) View(name string) (View, error) {
 	c.mu.Lock()
-	e, ok := c.graphs[name]
+	ge, ok := c.graphs[name]
 	c.mu.Unlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return View{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	e.contentOnce.Do(func() {
-		e.contentSets = simmatrix.ContentSets(e.g, 0)
+	return View{Graph: ge.g, c: c, e: ge}, nil
+}
+
+// warm builds the current commit's full closure eagerly, after
+// Register, Replace and a rebuilding Apply, so the first match request
+// is already a cache hit. The mutation is committed (and durable, with a
+// persister) by then: a concurrent Remove makes the warm-up moot, not
+// the mutation failed, so there is nothing to report.
+func (c *Catalog) warm(name string) {
+	if v, err := c.View(name); err == nil {
+		v.Reach(context.Background(), 0)
+	}
+}
+
+// GetWithIndexCtx resolves the named graph's View and its reachability
+// index in one call.
+func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (_ *graph.Graph, r *closure.Reach, idx closure.Index, err error) {
+	v, err := c.View(name)
+	if err == nil {
+		r, idx = v.Index(ctx, pathLimit)
+	}
+	return v.Graph, r, idx, err
+}
+
+// ContentSets resolves the named graph's View and its content shingle
+// sets in one call.
+func (c *Catalog) ContentSets(name string) (*graph.Graph, []shingle.Set, error) {
+	v, err := c.View(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.Graph, v.ContentSets(), nil
+}
+
+// ContentSets returns the shingle sets of the graph's node contents,
+// computed once per commit (with the default shingle window) and shared.
+func (v View) ContentSets() []shingle.Set {
+	v.e.contentOnce.Do(func() {
+		v.e.contentSets = simmatrix.ContentSets(v.Graph, 0)
 	})
-	return e.g, e.contentSets, nil
+	return v.e.contentSets
+}
+
+// Reach returns the graph's reachability closure under the given path
+// limit (0 = the full transitive closure), recording a catalog.resolve
+// span under ctx's trace. While the View is the current commit the
+// closure comes from the shared cache, built single-flight on first
+// use; once a commit has superseded it, the closure is built for the
+// View's own graph and not cached.
+func (v View) Reach(ctx context.Context, pathLimit int) *closure.Reach {
+	sp := v.resolveSpan(ctx)
+	defer sp.End()
+	return v.entry(sp, pathLimit).reach
+}
+
+// Index is Reach plus the matcher-facing reachability index (the
+// representation the compMaxCard / compMaxSim trim consumes, in
+// whichever tier the catalog's policy selects for the graph's size).
+// The index is built once per cached closure — single-flight, like the
+// closure itself — and shared by every request, so per-request matcher
+// setup materialises nothing.
+func (v View) Index(ctx context.Context, pathLimit int) (*closure.Reach, closure.Index) {
+	sp := v.resolveSpan(ctx)
+	defer sp.End()
+	e := v.entry(sp, pathLimit)
+	v.c.ensureIndex(sp, e)
+	sp.SetStr("tier", string(e.idx.Tier()))
+	return e.reach, e.idx
+}
+
+func (v View) resolveSpan(ctx context.Context) trace.Span {
+	sp := trace.SpanFromContext(ctx).Child("catalog.resolve")
+	sp.SetStr("graph", v.e.name)
+	return sp
 }
 
 // GraphInfo is a point-in-time description of one registered graph and
@@ -767,20 +814,21 @@ type GraphInfo struct {
 	IndexBytes int64 `json:"index_bytes"`
 }
 
-// Describe reports the catalog's view of one registered graph: its
-// size plus how much reachability state is currently resident for it
-// and in which tier.
-func (c *Catalog) Describe(name string) (GraphInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ge, ok := c.graphs[name]
-	if !ok {
-		return GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
+// Describe reports the View's graph: its size plus how much
+// reachability state is currently resident for it and in which tier. A
+// superseded View has none resident: its closures left the cache with
+// the commit that replaced it.
+func (v View) Describe() GraphInfo {
+	c, name := v.c, v.e.name
 	info := GraphInfo{
 		Name:  name,
-		Nodes: ge.g.NumNodes(),
-		Edges: ge.g.NumEdges(),
+		Nodes: v.Graph.NumNodes(),
+		Edges: v.Graph.NumEdges(),
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.graphs[name] != v.e {
+		return info
 	}
 	for k, e := range c.closures {
 		if k.name != name {
@@ -793,7 +841,7 @@ func (c *Catalog) Describe(name string) (GraphInfo, error) {
 			info.IndexTier = string(e.idxTier)
 		}
 	}
-	return info, nil
+	return info
 }
 
 // Names lists the registered graphs in sorted order.
@@ -815,78 +863,6 @@ func (c *Catalog) Len() int {
 	return len(c.graphs)
 }
 
-// Reach returns the shared reachability index of the named graph under
-// the given path limit (0 = the full transitive closure), building and
-// caching it on first use. Concurrent callers for the same key share a
-// single build.
-func (c *Catalog) Reach(name string, pathLimit int) (*closure.Reach, error) {
-	_, r, err := c.GetWithReach(name, pathLimit)
-	return r, err
-}
-
-// GetWithReach resolves the named graph and its shared reachability
-// index in one step, so the pair is guaranteed consistent even if the
-// name is concurrently removed and re-registered with a different
-// graph (separate Get + Reach calls could pair the old graph with the
-// new graph's closure). The graph and the cached closure entry are
-// resolved under one lock acquisition; a fresh build uses the graph
-// pointer captured there, never a re-lookup by name.
-func (c *Catalog) GetWithReach(name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
-	g, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, e.reach, nil
-}
-
-// GetWithReachCtx is GetWithReach recording a catalog.resolve span
-// (cache hit, closure build time) under the request's trace.
-func (c *Catalog) GetWithReachCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
-	sp := trace.SpanFromContext(ctx).Child("catalog.resolve")
-	defer sp.End()
-	sp.SetStr("graph", name)
-	g, e, hit, err := c.getEntry(sp, name, pathLimit)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		return nil, nil, err
-	}
-	sp.SetBool("closure_cache_hit", hit)
-	return g, e.reach, nil
-}
-
-// GetWithIndexCtx is GetWithIndex recording a catalog.resolve span
-// (cache hit, tier, build times) under the request's trace.
-func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	sp := trace.SpanFromContext(ctx).Child("catalog.resolve")
-	defer sp.End()
-	sp.SetStr("graph", name)
-	g, e, hit, err := c.getEntry(sp, name, pathLimit)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		return nil, nil, nil, err
-	}
-	sp.SetBool("closure_cache_hit", hit)
-	c.ensureIndex(sp, e)
-	sp.SetStr("tier", string(e.idx.Tier()))
-	return g, e.reach, e.idx, nil
-}
-
-// GetWithIndex resolves the named graph, its reachability closure, and
-// the matcher-facing index (the representation the compMaxCard /
-// compMaxSim trim consumes, in whichever tier the catalog's policy
-// selects for the graph's size) as one consistent triple. The index is
-// built once per cached closure — single-flight, like the closure
-// itself — and shared by every request, so per-request matcher setup
-// materialises nothing.
-func (c *Catalog) GetWithIndex(name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	g, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c.ensureIndex(trace.Span{}, e)
-	return g, e.reach, e.idx, nil
-}
-
 // ensureIndex performs the single-flight matcher-index build for a
 // resolved closure entry. When this call is the one that builds, a
 // catalog.index_build child span records the tier-selection outcome
@@ -897,10 +873,8 @@ func (c *Catalog) ensureIndex(sp trace.Span, e *entry) {
 		start := time.Now()
 		e.idx = closure.BuildIndex(e.reach, c.tierPolicy, c.denseMaxBytes)
 		built := time.Since(start)
-		ib := int64(e.idx.Bytes())
-		tier := e.idx.Tier()
-		bsp.SetStr("tier", string(tier))
-		bsp.SetInt("bytes", ib)
+		bsp.SetStr("tier", string(e.idx.Tier()))
+		bsp.SetInt("bytes", int64(e.idx.Bytes()))
 		bsp.End()
 		c.mu.Lock()
 		c.buildTime += built
@@ -908,74 +882,61 @@ func (c *Catalog) ensureIndex(sp trace.Span, e *entry) {
 		// evicted mid-build keeps serving its direct waiters but no
 		// longer counts toward resident memory.
 		if c.closures[e.key] == e {
-			e.idxBytes = ib
-			e.idxTier = tier
-			e.idxCounted = true
-			c.residentBytes += ib
-			switch tier {
-			case closure.TierSparse:
-				c.residentSparse++
-				c.sparseBytes += ib
-			default:
-				c.residentDense++
-				c.denseBytes += ib
-			}
+			c.accountIndexLocked(e)
 			c.evictBytesLocked(e)
 		}
 		c.mu.Unlock()
 	})
 }
 
-// getEntry resolves the graph and the cache slot for (name, pathLimit),
-// waiting on or performing the single-flight closure build. hit
-// reports whether the closure was already cached (possibly still
-// building under another request); a build performed here is recorded
-// as a catalog.closure_build child of sp when sp is active.
-func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Graph, *entry, bool, error) {
-	if pathLimit < 0 {
-		pathLimit = 0
-	}
-	key := closureKey{name: name, pathLimit: pathLimit}
-
+// entry resolves the closure slot of the View's graph under pathLimit,
+// waiting on or performing the single-flight closure build, and records
+// whether the closure was already cached (possibly still building under
+// another request) on sp. A build performed here is recorded as a
+// catalog.closure_build child of sp when sp is active. A superseded
+// View gets a private slot that is never published: the cache slots of
+// its name belong to the commit that replaced it.
+func (v View) entry(sp trace.Span, pathLimit int) *entry {
+	c := v.c
+	key := closureKey{name: v.e.name, pathLimit: max(pathLimit, 0)}
 	c.mu.Lock()
-	ge, ok := c.graphs[name]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, false, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	g := ge.g
-	if e, ok := c.closures[key]; ok {
+	current := c.graphs[key.name] == v.e
+	if e, ok := c.closures[key]; ok && current {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
+		sp.SetBool("closure_cache_hit", true)
 		<-e.ready
-		return g, e, true, nil
+		return e
 	}
 	c.misses++
 	e := &entry{key: key, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.closures[key] = e
-	c.evictLocked()
+	if current {
+		e.elem = c.lru.PushFront(e)
+		c.closures[key] = e
+		c.evictLocked()
+	}
 	c.mu.Unlock()
+	sp.SetBool("closure_cache_hit", false)
 
 	bsp := sp.Child("catalog.closure_build")
 	start := time.Now()
-	e.reach = closure.ComputeBounded(g, pathLimit)
+	e.reach = closure.ComputeBounded(v.Graph, key.pathLimit)
 	built := time.Since(start)
 	close(e.ready)
-	bsp.SetInt("path_limit", int64(pathLimit))
+	bsp.SetInt("path_limit", int64(key.pathLimit))
 	bsp.End()
 
 	rb := int64(e.reach.Bytes())
 	c.mu.Lock()
 	c.buildTime += built
-	if c.closures[key] == e { // not evicted while building
+	if c.closures[key] == e { // published and not evicted while building
 		e.bytes = rb
 		c.residentBytes += rb
 		c.evictBytesLocked(e)
 	}
 	c.mu.Unlock()
-	return g, e, false, nil
+	return e
 }
 
 // evictLocked enforces the count LRU bound. In-flight builds may be
@@ -983,14 +944,7 @@ func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Gr
 // unaffected; the closure simply is not retained once they are done.
 func (c *Catalog) evictLocked() {
 	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		c.lru.Remove(back)
-		c.dropAccountingLocked(victim)
-		delete(c.closures, victim.key)
+		c.dropEntryLocked(c.lru.Back().Value.(*entry))
 		c.evictions++
 	}
 }
@@ -1016,10 +970,7 @@ func (c *Catalog) evictBytesLocked(keep *entry) {
 		if el == nil {
 			return
 		}
-		victim := el.Value.(*entry)
-		c.lru.Remove(el)
-		c.dropAccountingLocked(victim)
-		delete(c.closures, victim.key)
+		c.dropEntryLocked(el.Value.(*entry))
 		c.evictions++
 	}
 }
@@ -1031,11 +982,11 @@ func (c *Catalog) Stats() Stats {
 	return Stats{
 		Graphs:             len(c.graphs),
 		ResidentClosures:   c.lru.Len(),
-		ResidentIndexes:    c.residentDense + c.residentSparse,
-		ResidentDense:      c.residentDense,
-		ResidentSparse:     c.residentSparse,
-		DenseIndexBytes:    c.denseBytes,
-		SparseIndexBytes:   c.sparseBytes,
+		ResidentIndexes:    c.tierCount[closure.TierDense] + c.tierCount[closure.TierSparse],
+		ResidentDense:      c.tierCount[closure.TierDense],
+		ResidentSparse:     c.tierCount[closure.TierSparse],
+		DenseIndexBytes:    c.tierBytes[closure.TierDense],
+		SparseIndexBytes:   c.tierBytes[closure.TierSparse],
 		ResidentBytes:      c.residentBytes,
 		MaxClosures:        c.capacity,
 		MaxBytes:           c.maxBytes,

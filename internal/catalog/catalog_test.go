@@ -24,23 +24,40 @@ func chain(n int) *graph.Graph {
 	return graph.FromEdgeList(labels, edges)
 }
 
+// reach resolves name's current View and its closure, as a serving
+// request does.
+func reach(tb testing.TB, c *Catalog, name string, pathLimit int) *closure.Reach {
+	tb.Helper()
+	v, err := c.View(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v.Reach(context.Background(), pathLimit)
+}
+
+// current returns name's currently committed graph, nil when none is.
+func current(c *Catalog, name string) *graph.Graph {
+	v, _ := c.View(name)
+	return v.Graph
+}
+
 func TestRegisterAndGet(t *testing.T) {
 	c := New(4)
 	g := chain(5)
 	if err := c.Register("web", g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("web")
+	v, err := c.View("web")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != g {
-		t.Fatalf("Get returned a different graph")
+	if v.Graph != g {
+		t.Fatalf("View returned a different graph")
 	}
 	if err := c.Register("web", chain(3)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate register: err = %v, want ErrDuplicate", err)
 	}
-	if _, err := c.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.View("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing get: err = %v, want ErrNotFound", err)
 	}
 	if names := c.Names(); len(names) != 1 || names[0] != "web" {
@@ -57,10 +74,7 @@ func TestRegisterPrecomputesClosure(t *testing.T) {
 	if s.Misses != 1 || s.ResidentClosures != 1 {
 		t.Fatalf("after register: %+v, want 1 miss and 1 resident closure", s)
 	}
-	r, err := c.Reach("g", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := reach(t, c, "g", 0)
 	if !r.Reachable(0, 5) || r.Reachable(5, 0) {
 		t.Fatalf("closure semantics wrong on a 6-chain")
 	}
@@ -74,16 +88,13 @@ func TestReachSharedPointer(t *testing.T) {
 	if err := c.Register("g", chain(8)); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := c.Reach("g", 0)
-	r2, _ := c.Reach("g", 0)
+	r1 := reach(t, c, "g", 0)
+	r2 := reach(t, c, "g", 0)
 	if r1 != r2 {
 		t.Fatalf("repeated Reach returned distinct indexes — closure not shared")
 	}
 	// A bounded index is a different cache slot with different semantics.
-	b, err := c.Reach("g", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := reach(t, c, "g", 1)
 	if b == r1 {
 		t.Fatalf("bounded and unbounded indexes share a slot")
 	}
@@ -110,18 +121,14 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
 	// "a" was evicted; touching it is a miss that rebuilds and evicts "b".
-	if _, err := c.Reach("a", 0); err != nil {
-		t.Fatal(err)
-	}
+	reach(t, c, "a", 0)
 	s = c.Stats()
 	if s.Misses != 4 || s.Evictions != 2 {
 		t.Fatalf("after rebuild: %+v, want 4 misses and 2 evictions", s)
 	}
 	// "c" is still resident: a hit.
 	hits := s.Hits
-	if _, err := c.Reach("c", 0); err != nil {
-		t.Fatal(err)
-	}
+	reach(t, c, "c", 0)
 	if s = c.Stats(); s.Hits != hits+1 {
 		t.Fatalf("touching resident closure was not a hit: %+v", s)
 	}
@@ -132,19 +139,17 @@ func TestRemove(t *testing.T) {
 	if err := c.Register("g", chain(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Reach("g", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove("g"); err != nil {
+	reach(t, c, "g", 2)
+	if err := c.RemoveCtx(context.Background(), "g"); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Graphs != 0 || s.ResidentClosures != 0 {
 		t.Fatalf("after remove: %+v", s)
 	}
-	if _, err := c.Reach("g", 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Reach after remove: %v, want ErrNotFound", err)
+	if _, err := c.View("g"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("View after remove: %v, want ErrNotFound", err)
 	}
-	if err := c.Remove("g"); !errors.Is(err, ErrNotFound) {
+	if err := c.RemoveCtx(context.Background(), "g"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove: %v, want ErrNotFound", err)
 	}
 }
@@ -156,7 +161,7 @@ func TestConcurrentReachSingleFlight(t *testing.T) {
 	c.mu.Lock()
 	g := chain(64)
 	g.Finish()
-	c.graphs["g"] = &graphEntry{g: g} // bypass Register's eager build
+	c.graphs["g"] = &graphEntry{name: "g", g: g} // bypass Register's eager build
 	c.mu.Unlock()
 
 	const workers = 32
@@ -166,12 +171,12 @@ func TestConcurrentReachSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := c.Reach("g", 0)
+			v, err := c.View("g")
 			if err != nil {
 				results[i] = err
 				return
 			}
-			results[i] = r
+			results[i] = v.Reach(context.Background(), 0)
 		}(i)
 	}
 	wg.Wait()
@@ -218,13 +223,13 @@ func TestContentSetsCachedAndConsistent(t *testing.T) {
 	if _, _, err := c.ContentSets("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing graph: %v, want ErrNotFound", err)
 	}
-	// GetWithReach returns a consistent (graph, closure) pair.
-	gg, r, err := c.GetWithReach("g", 0)
+	// A View returns a consistent (graph, closure) pair.
+	v, err := c.View("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gg != g || r.NumNodes() != g.NumNodes() {
-		t.Fatalf("GetWithReach pair inconsistent")
+	if r := v.Reach(context.Background(), 0); v.Graph != g || r.NumNodes() != g.NumNodes() {
+		t.Fatalf("View pair inconsistent")
 	}
 }
 
@@ -245,11 +250,11 @@ func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 	if err := c.Register("web", g); err != nil {
 		t.Fatal(err)
 	}
-	g1, r1, idx1, err := c.GetWithIndex("web", 0)
+	g1, r1, idx1, err := c.GetWithIndexCtx(context.Background(), "web", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, r2, idx2, err := c.GetWithIndex("web", 0)
+	g2, r2, idx2, err := c.GetWithIndexCtx(context.Background(), "web", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +270,7 @@ func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 		}
 	}
 	// A different path limit is a different cache slot with its own index.
-	_, rb, idxB, err := c.GetWithIndex("web", 1)
+	_, rb, idxB, err := c.GetWithIndexCtx(context.Background(), "web", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +295,7 @@ func TestTierPolicySelection(t *testing.T) {
 		if err := c.Register("web", g.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		_, _, idx, err := c.GetWithIndex("web", 0)
+		_, _, idx, err := c.GetWithIndexCtx(context.Background(), "web", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,9 +335,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 	// The most recent graph must still resolve from cache (a hit).
 	before := c.Stats().Hits
-	if _, _, err := c.GetWithReach("b", 0); err != nil {
-		t.Fatal(err)
-	}
+	reach(t, c, "b", 0)
 	if c.Stats().Hits != before+1 {
 		t.Fatal("byte eviction removed the most recently resolved entry")
 	}
@@ -346,7 +349,7 @@ func TestByteBudgetKeepsOversizedEntryServing(t *testing.T) {
 	if err := c.Register("big", chain(40)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetWithIndex("big", 0); err != nil {
+	if _, _, _, err := c.GetWithIndexCtx(context.Background(), "big", 0); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -373,7 +376,7 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, idx, err := c.GetWithIndex("web", 0)
+			_, _, idx, err := c.GetWithIndexCtx(context.Background(), "web", 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -406,7 +409,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if st.ResidentIndexes != 0 {
 		t.Fatalf("ResidentIndexes = %d, want 0 before any index consumer", st.ResidentIndexes)
 	}
-	if _, _, _, err := c.GetWithIndex("a", 0); err != nil {
+	if _, _, _, err := c.GetWithIndexCtx(context.Background(), "a", 0); err != nil {
 		t.Fatal(err)
 	}
 	withIdx := c.Stats()
@@ -418,16 +421,12 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 	// Filling the LRU with fresh slots evicts the old ones and returns
 	// their bytes; removing everything zeroes the account.
-	if _, _, err := c.GetWithReach("a", 3); err != nil {
+	reach(t, c, "a", 3)
+	reach(t, c, "b", 3)
+	if err := c.RemoveCtx(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetWithReach("b", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove("b"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 	end := c.Stats()
@@ -448,13 +447,13 @@ func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
 	if err := c.Register("empty", empty); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetWithIndex("empty", 0); err != nil {
+	if _, _, _, err := c.GetWithIndexCtx(context.Background(), "empty", 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ResidentIndexes != 1 {
 		t.Fatalf("ResidentIndexes = %d, want 1", st.ResidentIndexes)
 	}
-	if err := c.Remove("empty"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "empty"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ResidentIndexes != 0 || st.ResidentBytes != 0 {
@@ -546,10 +545,10 @@ func TestMutationHook(t *testing.T) {
 	if err := c.Register("a", chain(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("pre"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "pre"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("missing"); !errors.Is(err, ErrNotFound) {
+	if err := c.RemoveCtx(context.Background(), "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("remove missing: %v", err)
 	}
 	want := []event{{"pre", false}, {"a", false}, {"pre", true}}
@@ -572,10 +571,11 @@ func TestDescribe(t *testing.T) {
 	if err := c.Register("g", chain(6)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Describe("g")
+	v, err := c.View("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := v.Describe()
 	if info.Name != "g" || info.Nodes != 6 || info.Edges != 5 {
 		t.Fatalf("info = %+v", info)
 	}
@@ -585,17 +585,11 @@ func TestDescribe(t *testing.T) {
 	if info.IndexTier != "" {
 		t.Fatalf("index tier %q before any index build", info.IndexTier)
 	}
-	if _, _, _, err := c.GetWithIndex("g", 0); err != nil {
-		t.Fatal(err)
-	}
-	info, err = c.Describe("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.IndexTier != string(closure.TierDense) {
+	v.Index(context.Background(), 0)
+	if info = v.Describe(); info.IndexTier != string(closure.TierDense) {
 		t.Fatalf("index tier = %q after index build, want dense", info.IndexTier)
 	}
-	if _, err := c.Describe("missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.View("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("describe missing: %v", err)
 	}
 }
@@ -608,11 +602,8 @@ func TestApplyPatch(t *testing.T) {
 	if err := c.Register("web", chain(3)); err != nil {
 		t.Fatal(err)
 	}
-	old, _ := c.Get("web")
-	oldReach, err := c.Reach("web", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := current(c, "web")
+	oldReach := reach(t, c, "web", 0)
 
 	var hooked *graph.Graph
 	var hookedMut Mutation
@@ -623,7 +614,7 @@ func TestApplyPatch(t *testing.T) {
 		}
 	})
 
-	ng, err := c.Apply("web", &graph.Patch{
+	ng, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{
 		AddNodes: []graph.Node{{Label: "n3", Weight: 1}},
 		AddEdges: [][2]graph.NodeID{{2, 3}},
 	})
@@ -636,7 +627,7 @@ func TestApplyPatch(t *testing.T) {
 	if old.NumNodes() != 3 {
 		t.Fatal("old graph mutated")
 	}
-	got, _ := c.Get("web")
+	got := current(c, "web")
 	if got != ng || got.NumNodes() != 4 {
 		t.Fatalf("registry holds %v, want patched graph", got)
 	}
@@ -648,10 +639,7 @@ func TestApplyPatch(t *testing.T) {
 	}
 	// The cached closure was replaced for the new graph (patched
 	// incrementally or rebuilt — either way a fresh value).
-	newReach, err := c.Reach("web", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	newReach := reach(t, c, "web", 0)
 	if newReach == oldReach {
 		t.Fatal("stale closure survived the patch")
 	}
@@ -660,16 +648,16 @@ func TestApplyPatch(t *testing.T) {
 	}
 
 	// Bad patches leave everything untouched.
-	if _, err := c.Apply("web", &graph.Patch{DelEdges: [][2]graph.NodeID{{3, 0}}}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{DelEdges: [][2]graph.NodeID{{3, 0}}}); err == nil {
 		t.Fatal("deleting an absent edge should fail")
 	}
-	if g, _ := c.Get("web"); g != ng {
+	if current(c, "web") != ng {
 		t.Fatal("failed patch replaced the graph")
 	}
-	if _, err := c.Apply("missing", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.ApplyCtx(context.Background(), "missing", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("apply to missing graph: %v", err)
 	}
-	if _, err := c.Apply("web", &graph.Patch{}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{}); err == nil {
 		t.Fatal("empty patch should fail")
 	}
 }
@@ -694,19 +682,19 @@ func TestPersisterVeto(t *testing.T) {
 	if err := c.Register("new", chain(2)); !errors.Is(err, bang) {
 		t.Fatalf("register under veto: %v", err)
 	}
-	if _, err := c.Get("new"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.View("new"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("vetoed register still committed")
 	}
-	if err := c.Remove("keep"); !errors.Is(err, bang) {
+	if err := c.RemoveCtx(context.Background(), "keep"); !errors.Is(err, bang) {
 		t.Fatalf("remove under veto: %v", err)
 	}
-	if _, err := c.Get("keep"); err != nil {
+	if _, err := c.View("keep"); err != nil {
 		t.Fatal("vetoed remove still committed")
 	}
-	if _, err := c.Apply("keep", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, bang) {
+	if _, err := c.ApplyCtx(context.Background(), "keep", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, bang) {
 		t.Fatalf("apply under veto: %v", err)
 	}
-	if g, _ := c.Get("keep"); g.NumNodes() != 3 {
+	if current(c, "keep").NumNodes() != 3 {
 		t.Fatal("vetoed apply still committed")
 	}
 
@@ -731,8 +719,7 @@ func TestExport(t *testing.T) {
 	if len(state) != 2 {
 		t.Fatalf("exported %d graphs, want 2", len(state))
 	}
-	ga, _ := c.Get("a")
-	if state["a"] != ga {
+	if state["a"] != current(c, "a") {
 		t.Fatal("export should share the registered graph objects")
 	}
 }
@@ -742,10 +729,7 @@ func TestExport(t *testing.T) {
 // catalogs diverge on the patched graph.
 func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalog) {
 	t.Helper()
-	g, err := cats[0].Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := current(cats[0], name)
 	var p *graph.Patch
 	for p == nil || p.Empty() {
 		p = &graph.Patch{}
@@ -774,7 +758,7 @@ func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalo
 		}
 	}
 	for _, c := range cats {
-		if _, err := c.Apply(name, p); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), name, p); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
 	}
@@ -811,18 +795,18 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 					if err := c.Register("g", g); err != nil {
 						t.Fatal(err)
 					}
-					if _, _, _, err := c.GetWithIndex("g", 0); err != nil {
+					if _, _, _, err := c.GetWithIndexCtx(context.Background(), "g", 0); err != nil {
 						t.Fatal(err)
 					}
 				}
 
 				for step := 0; step < 6; step++ {
 					applyRandomPatch(t, rng, "g", inc, reb)
-					_, ri, ii, err := inc.GetWithIndex("g", 0)
+					_, ri, ii, err := inc.GetWithIndexCtx(context.Background(), "g", 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, rr, ir, err := reb.GetWithIndex("g", 0)
+					_, rr, ir, err := reb.GetWithIndexCtx(context.Background(), "g", 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -854,5 +838,49 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestViewSurvivesCommit pins the View consistency rule: a View taken
+// before a patch keeps deriving closure, index and content sets from its
+// own graph after the patch commits, and never disturbs the cache slots
+// that now belong to the new commit.
+func TestViewSurvivesCommit(t *testing.T) {
+	c := New(4)
+	if err := c.Register("g", chain(4)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := c.View("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3→0 closes a cycle: the SCC condensation reshapes, so the cached
+	// closure is rebuilt rather than patched.
+	if _, err := c.ApplyCtx(context.Background(), "g", &graph.Patch{
+		AddNodes: []graph.Node{{Label: "n4"}},
+		AddEdges: [][2]graph.NodeID{{3, 0}, {3, 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	ctx := context.Background()
+	r, idx := old.Index(ctx, 0)
+	if r.NumNodes() != 4 || idx.NumNodes() != 4 || r.Reachable(3, 0) {
+		t.Fatalf("superseded view resolved the new graph's closure: %d nodes, 3⇝0 = %v", r.NumNodes(), r.Reachable(3, 0))
+	}
+	if sets := old.ContentSets(); len(sets) != 4 {
+		t.Fatalf("superseded view content sets = %d, want 4", len(sets))
+	}
+	if info := old.Describe(); info.Nodes != 4 || info.ResidentClosures != 0 {
+		t.Fatalf("superseded view describe = %+v, want 4 nodes and nothing resident", info)
+	}
+	after := c.Stats()
+	if after.ResidentClosures != before.ResidentClosures || after.ResidentBytes != before.ResidentBytes ||
+		after.ResidentIndexes != before.ResidentIndexes {
+		t.Fatalf("superseded view touched the cache: %+v → %+v", before, after)
+	}
+	cur := reach(t, c, "g", 0)
+	if cur == r || cur.NumNodes() != 5 || !cur.Reachable(3, 0) {
+		t.Fatal("current view does not resolve the patched graph's cached closure")
 	}
 }

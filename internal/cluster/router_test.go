@@ -328,7 +328,7 @@ func TestClusterPartialFailure(t *testing.T) {
 		if shards[0].eng.Catalog().Len() == 0 {
 			break
 		}
-		if _, err := shards[1].eng.Catalog().Get(h.Graph); err == nil {
+		if _, err := shards[1].eng.Catalog().View(h.Graph); err == nil {
 			t.Fatalf("partial result contains %s from the dead shard", h.Graph)
 		}
 	}
@@ -426,7 +426,7 @@ func TestClusterReadRetryOnce(t *testing.T) {
 	if got := bad2Count.Load(); got != 1 {
 		t.Fatalf("failing primary hit %d times by one mutation, want exactly 1 (no retry)", got)
 	}
-	if _, err := good.eng.Catalog().Get("h"); err == nil {
+	if _, err := good.eng.Catalog().View("h"); err == nil {
 		t.Fatal("mutation was retried onto the replica")
 	}
 }
@@ -458,7 +458,7 @@ func TestClusterMisdirectedFollow(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("register through 421 redirect: %d %s", code, body)
 	}
-	if _, err := real.eng.Catalog().Get("g"); err != nil {
+	if _, err := real.eng.Catalog().View("g"); err != nil {
 		t.Fatalf("mutation did not land on the real primary: %v", err)
 	}
 	if got := stubHits.Load(); got != 1 {

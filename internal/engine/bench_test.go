@@ -93,10 +93,11 @@ func BenchmarkMatchBatch(b *testing.B) {
 func BenchmarkSharedVsPrivateClosure(b *testing.B) {
 	e, reqs := benchEngine(b, 1, 400)
 	defer e.Close()
-	data, err := e.Catalog().Get("data")
+	gv, err := e.Catalog().View("data")
 	if err != nil {
 		b.Fatal(err)
 	}
+	data := gv.Graph
 	ctx := context.Background()
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

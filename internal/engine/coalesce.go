@@ -158,18 +158,18 @@ func (co *patchCoalescer) apply(name string, batch []*patchWaiter) {
 	for i, w := range batch {
 		patches[i] = w.p
 	}
-	base, err := co.eng.cat.Get(name)
+	base, err := co.eng.cat.View(name)
 	if err != nil {
 		co.deliver(batch, nil, err)
 		return
 	}
-	merged, err := graph.MergePatches(base, patches...)
+	merged, err := graph.MergePatches(base.Graph, patches...)
 	if err == nil && merged.Empty() {
 		// The batch cancels out (e.g. add then delete): nothing to
 		// commit, everyone observes the unchanged graph.
 		co.batches.Add(1)
 		co.coalesced.Add(uint64(len(batch)))
-		co.deliver(batch, base, nil)
+		co.deliver(batch, base.Graph, nil)
 		return
 	}
 	if err == nil {

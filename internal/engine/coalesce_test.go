@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,10 +66,11 @@ func TestCoalesceStormBatches(t *testing.T) {
 		t.Fatalf("storm inside one window did not batch: %+v", s)
 	}
 	// The closure kept up: the chain plus chords still reaches the end.
-	r, err := e.cat.Reach("g", 0)
+	v, err := e.cat.View("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := v.Reach(context.Background(), 0)
 	if !r.Reachable(0, 31) {
 		t.Fatal("closure lost the chain after batched patches")
 	}

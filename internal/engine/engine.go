@@ -205,7 +205,9 @@ type Options struct {
 	// shedding and preserves the blocking-submit behaviour; servers
 	// exposed to untrusted load should set it (phomd does, to
 	// QueueDepth + Workers). Keeping MaxPending ≤ QueueDepth + Workers
-	// guarantees an admitted task's queue send never blocks.
+	// guarantees an admitted match's queue send never blocks. A Search
+	// is admitted or shed as one unit: once admitted, its per-candidate
+	// fan-out is never shed, though it may wait for queue space.
 	MaxPending int
 	// NoMetrics disables instrumentation entirely: Metrics() returns
 	// nil and every metric point on the hot path is a nil-receiver
@@ -415,6 +417,11 @@ type Engine struct {
 	// completed request traces land here, queryable through
 	// GET /debug/traces and the explain path.
 	tracer *trace.Recorder
+
+	// pickup, when non-nil, runs in a worker right after it takes a task
+	// off the queue. It is a test seam (tests hold the worker on it) and
+	// is nil in every engine New returns.
+	pickup func(*task)
 
 	// Admission control: pending counts admitted tasks (queued +
 	// running, coalesced attaches excluded); maxPending > 0 sheds past
@@ -652,7 +659,7 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		msp.End()
 		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
 	}
-	t, coalesced, err := e.submit(req, msp)
+	t, coalesced, err := e.submit(req, msp, false)
 	if err != nil {
 		e.errors.Add(1)
 		if msp.Active() {
@@ -689,6 +696,13 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 // only submission-level failure of the whole batch (engine closed);
 // per-request failures land in Result.Err.
 func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
+	return e.matchBatch(ctx, reqs, false)
+}
+
+// matchBatch is MatchBatch; admitted marks a batch whose admission was
+// already decided as a whole (a search's fan-out), so none of its own
+// tasks is shed.
+func (e *Engine) matchBatch(ctx context.Context, reqs []Request, admitted bool) []Result {
 	e.batches.Add(1)
 	results := make([]Result, len(reqs))
 	if err := ctx.Err(); err != nil {
@@ -706,7 +720,7 @@ func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	for i, req := range reqs {
 		// Batch items do not get per-item spans: a search fan-out would
 		// blow the per-trace span cap and drown the interesting stages.
-		t, coalesced, err := e.submit(req, trace.Span{})
+		t, coalesced, err := e.submit(req, trace.Span{}, admitted)
 		if err != nil {
 			e.errors.Add(1)
 			results[i] = Result{Err: err}
@@ -728,8 +742,9 @@ func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 // to an identical in-flight one. sp is the submitter's engine.match
 // span (inert when untraced); a newly created task adopts it, so the
 // worker's execution spans land in the trace of the request that
-// caused the work.
-func (e *Engine) submit(req Request, sp trace.Span) (*task, bool, error) {
+// caused the work. admitted skips the shedding check for work whose
+// admission was already decided (see matchBatch).
+func (e *Engine) submit(req Request, sp trace.Span, admitted bool) (*task, bool, error) {
 	e.requests.Add(1)
 	if req.Pattern == nil {
 		return nil, false, fmt.Errorf("engine: nil pattern")
@@ -780,7 +795,7 @@ func (e *Engine) submit(req Request, sp trace.Span) (*task, bool, error) {
 	// This is new work: admission control applies before anything is
 	// published or enqueued.
 	n := e.pending.Add(1)
-	if e.maxPending > 0 && n > int64(e.maxPending) {
+	if !admitted && e.maxPending > 0 && n > int64(e.maxPending) {
 		e.pending.Add(-1)
 		e.mu.Unlock()
 		e.shed.Add(1)
@@ -850,6 +865,9 @@ func (e *Engine) wait(ctx context.Context, t *task, coalesced bool) Result {
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for t := range e.queue {
+		if e.pickup != nil {
+			e.pickup(t)
+		}
 		picked := time.Now()
 		e.mTaskWait.Observe(picked.Sub(t.enqueued).Seconds())
 		ctx := t.ctx
@@ -895,41 +913,31 @@ func (e *Engine) execute(ctx context.Context, req Request) Result {
 		// the work entirely.
 		return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
 	}
-	// Resolve the graph and its closure as one consistent pair; a
-	// separate Get + Reach could straddle a Remove/Register of the
-	// same name and mix one graph with another's index. The
-	// approximation algorithms additionally receive the catalog's
-	// tiered reachability index (dense rows or candidate-sparse,
-	// whichever the catalog selected for the graph's size), so their
-	// per-request matcher setup materialises nothing at all.
-	var (
-		g2    *graph.Graph
-		reach *closure.Reach
-		idx   closure.Index
-		err   error
-	)
-	switch req.Algo {
-	case Simulation:
-		g2, err = e.cat.Get(req.GraphName) // simulation never consults the closure
-	case Decide, Decide11:
-		g2, reach, err = e.cat.GetWithReachCtx(ctx, req.GraphName, req.PathLimit)
-	default:
-		g2, reach, idx, err = e.cat.GetWithIndexCtx(ctx, req.GraphName, req.PathLimit)
-	}
+	// Resolve one View: the graph, its closure, its content sets and
+	// the catalog's tiered reachability index (dense rows or
+	// candidate-sparse, whichever the catalog selected for the graph's
+	// size) all come from the same commit, whatever patches land while
+	// the request runs.
+	v, err := e.cat.View(req.GraphName)
 	if err != nil {
 		return Result{Err: err}
+	}
+	g2 := v.Graph
+	var (
+		reach *closure.Reach
+		idx   closure.Index
+	)
+	switch req.Algo {
+	case Simulation: // never consults the closure
+	case Decide, Decide11:
+		reach = v.Reach(ctx, req.PathLimit)
+	default:
+		reach, idx = v.Index(ctx, req.PathLimit)
 	}
 	var mat simmatrix.Matrix
 	switch req.Sim {
 	case SimContent:
-		cg, sets2, err := e.cat.ContentSets(req.GraphName)
-		if err != nil {
-			return Result{Err: err}
-		}
-		if cg != g2 {
-			return Result{Err: fmt.Errorf("engine: graph %q replaced mid-request", req.GraphName)}
-		}
-		mat = simmatrix.FromContentSets(req.Pattern, sets2, 0)
+		mat = simmatrix.FromContentSets(req.Pattern, v.ContentSets(), 0)
 	default:
 		mat = simmatrix.NewLabelEquality(req.Pattern, g2)
 	}

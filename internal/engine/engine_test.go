@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"graphmatch/internal/catalog"
 	"graphmatch/internal/core"
@@ -162,9 +165,60 @@ func TestEngineSimulationBaseline(t *testing.T) {
 	}
 }
 
-// TestCoalescing issues a batch of identical, deliberately heavy
-// requests through a single worker: all but the first must attach to
-// the in-flight computation.
+// workerGate holds workers at task pickup (the engine's pickup seam), so
+// a test can order submissions against execution without sleeping.
+type workerGate struct {
+	picked chan *task
+	open   chan struct{}
+	once   sync.Once
+}
+
+// holdWorkers installs a gate on e. Install it before submitting
+// anything, and release it before closing the engine.
+func holdWorkers(e *Engine) *workerGate {
+	g := &workerGate{picked: make(chan *task, 1), open: make(chan struct{})}
+	e.pickup = func(t *task) {
+		select {
+		case g.picked <- t:
+		default:
+		}
+		<-g.open
+	}
+	return g
+}
+
+// next returns the next task a worker took off the queue and is now
+// held on.
+func (g *workerGate) next(t *testing.T) *task {
+	t.Helper()
+	select {
+	case tk := <-g.picked:
+		return tk
+	case <-time.After(10 * time.Second):
+		t.Fatal("no worker picked up a task")
+		return nil
+	}
+}
+
+// release lets every held and future pickup through.
+func (g *workerGate) release() { g.once.Do(func() { close(g.open) }) }
+
+// waitUntil blocks until cond holds, yielding between checks.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCoalescing issues a batch of identical requests through a single
+// worker: all but the first must attach to the in-flight computation.
+// Coalescing is in-flight only, so the worker is held at pickup until
+// every duplicate has attached, whatever one execution costs.
 func TestCoalescing(t *testing.T) {
 	e := New(Options{Workers: 1, QueueDepth: 64})
 	defer e.Close()
@@ -173,8 +227,6 @@ func TestCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	pattern := patternFrom(data, 25, 6)
-	// Content similarity forces a dense shingle matrix per execution —
-	// easily slow enough that duplicates arrive while it runs.
 	req := Request{Pattern: pattern, GraphName: "data", Algo: MaxCard, Xi: 0.3, Sim: SimContent}
 	const dup = 16
 	reqs := make([]Request, dup)
@@ -184,7 +236,14 @@ func TestCoalescing(t *testing.T) {
 		reqs[i] = req
 		reqs[i].Pattern = pattern.Clone()
 	}
-	results := e.MatchBatch(context.Background(), reqs)
+	gate := holdWorkers(e)
+	defer gate.release()
+	done := make(chan []Result, 1)
+	go func() { done <- e.MatchBatch(context.Background(), reqs) }()
+	owner := gate.next(t)
+	waitUntil(t, "every duplicate attached", func() bool { return owner.waiters.Load() == dup })
+	gate.release()
+	results := <-done
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -293,11 +352,11 @@ func TestClose(t *testing.T) {
 
 func (e *Engine) mustGet(t *testing.T, name string) *graph.Graph {
 	t.Helper()
-	g, err := e.cat.Get(name)
+	v, err := e.cat.View(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return v.Graph
 }
 
 func TestParseAlgorithm(t *testing.T) {

@@ -194,10 +194,11 @@ func TestFollowerServesAndRejectsWrites(t *testing.T) {
 
 	// Live mutations flow through.
 	rng := rand.New(rand.NewSource(7))
-	g, err := p.eng.Catalog().Get("site0")
+	gv, err := p.eng.Catalog().View("site0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := gv.Graph
 	if _, err := p.eng.ApplyPatch("site0", randomPatch(rng, g)); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +240,11 @@ func TestFollowerRestartResumesFromLocalTail(t *testing.T) {
 	// Primary moves on while the follower is down.
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3; i++ {
-		g, err := p.eng.Catalog().Get("site1")
+		gv, err := p.eng.Catalog().View("site1")
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := gv.Graph
 		if _, err := p.eng.ApplyPatch("site1", randomPatch(rng, g)); err != nil {
 			t.Fatal(err)
 		}
@@ -355,10 +357,11 @@ func TestFollowerFaultQuickCheck(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.65:
 				name := names[rng.Intn(len(names))]
-				g, err := eng.Catalog().Get(name)
+				gv, err := eng.Catalog().View(name)
 				if err != nil {
 					continue
 				}
+				g := gv.Graph
 				_, _ = eng.ApplyPatch(name, randomPatch(rng, g))
 			case r < 0.8:
 				name := fmt.Sprintf("burst%d", rng.Intn(1000))
@@ -420,7 +423,8 @@ func TestReplayProgressReported(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g, _ := e.Catalog().Get("g0")
+	gv, _ := e.Catalog().View("g0")
+	g := gv.Graph
 	if _, err := e.ApplyPatch("g0", randomPatch(rng, g)); err != nil {
 		t.Fatal(err)
 	}

@@ -192,34 +192,34 @@ func TestCoalescedPeerSurvivesCancellation(t *testing.T) {
 	if err := e.Register("path", pathGraph(200)); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the worker so the interesting task stays queued while both
-	// waiters attach.
-	blocker := make(chan Result, 1)
-	go func() { blocker <- e.Match(context.Background(), slowReq(2)) }()
-	time.Sleep(10 * time.Millisecond)
+	// Hold the worker at pickup so the shared task cannot start before
+	// both waiters attach and the first one gives up.
+	gate := holdWorkers(e)
+	t.Cleanup(gate.release)
 
 	shared := slowReq(0)
 	impatient, cancel := context.WithCancel(context.Background())
 	first := make(chan Result, 1)
 	go func() { first <- e.Match(impatient, shared) }()
-	time.Sleep(10 * time.Millisecond)
+	owner := gate.next(t)
 	patient := make(chan Result, 1)
 	go func() { patient <- e.Match(context.Background(), shared) }()
-	time.Sleep(10 * time.Millisecond)
+	waitUntil(t, "the patient waiter attached", func() bool { return owner.waiters.Load() == 2 })
 
 	cancel()
 	if r := <-first; !errors.Is(r.Err, ErrDeadline) {
 		t.Fatalf("impatient waiter err = %v, want ErrDeadline", r.Err)
 	}
+	gate.release()
 	r := <-patient
 	if r.Err != nil {
 		t.Fatalf("patient coalesced waiter failed: %v", r.Err)
 	}
+	if !r.Coalesced {
+		t.Fatal("patient waiter did not attach to the shared task")
+	}
 	if r.Holds {
 		t.Fatal("cycle pattern cannot hold against a DAG")
-	}
-	if b := <-blocker; b.Err != nil {
-		t.Fatalf("blocker failed: %v", b.Err)
 	}
 }
 

@@ -171,10 +171,11 @@ func TestReplayEquivalenceQuickCheck(t *testing.T) {
 				switch r := rng.Float64(); {
 				case r < 0.55: // patch a random survivor
 					name := names[rng.Intn(len(names))]
-					g, err := durable.Catalog().Get(name)
+					gv, err := durable.Catalog().View(name)
 					if err != nil {
 						continue
 					}
+					g := gv.Graph
 					p := randomPatch(rng, g)
 					apply(func(e *Engine) error { _, err := e.ApplyPatch(name, p); return err })
 				case r < 0.7 && len(names) > 2: // remove one
@@ -256,11 +257,12 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 + s)))
 			name := fmt.Sprintf("g%d", s)
 			for i := 0; i < 8; i++ {
-				g, err := durable.Catalog().Get(name)
+				gv, err := durable.Catalog().View(name)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				g := gv.Graph
 				p := randomPatch(rng, g)
 				if _, err := durable.ApplyPatch(name, p); err != nil {
 					t.Error(err)
@@ -291,10 +293,11 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 	}
 	defer reopened.Close()
 	pattern := webgen.TopKSkeleton(func() *graph.Graph {
-		g, err := reference.Catalog().Get("g0")
+		gv, err := reference.Catalog().View("g0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := gv.Graph
 		return g
 	}(), 8)
 	probeEngines(t, "burst", reopened, reference, []*graph.Graph{pattern})

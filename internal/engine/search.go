@@ -128,6 +128,18 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		ssp.SetStr("error", err.Error())
 		return SearchResult{Err: err}
 	}
+	// Admission is decided once, for the whole search: shed it here
+	// while the engine is full, and otherwise let its stage-2 fan-out
+	// through as one admitted unit, so an admitted search never fails on
+	// its own candidates.
+	if n := e.pending.Load(); e.maxPending > 0 && n >= int64(e.maxPending) {
+		e.shed.Add(1)
+		e.errors.Add(1)
+		err := fmt.Errorf("%w: %d tasks pending (limit %d)", ErrOverloaded, n, e.maxPending)
+		ssp.SetBool("shed", true)
+		ssp.SetStr("error", err.Error())
+		return SearchResult{Err: decorate(ctx, err)}
+	}
 	k := req.K
 	if k <= 0 {
 		k = DefaultSearchK
@@ -194,7 +206,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		}
 	}
 	stage2 := time.Now()
-	results := e.MatchBatch(ctx, reqs)
+	results := e.matchBatch(ctx, reqs, true)
 
 	top := search.NewTopK(k)
 	var firstErr error

@@ -31,10 +31,11 @@ func TestConcurrentStress(t *testing.T) {
 	algos := []Algorithm{MaxCard, MaxCard11, MaxSim, MaxSim11}
 	i := 0
 	for name := range graphs {
-		data, err := e.Catalog().Get(name)
+		gv, err := e.Catalog().View(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		data := gv.Graph
 		for _, algo := range algos {
 			for _, limit := range []int{0, 3} {
 				req := Request{

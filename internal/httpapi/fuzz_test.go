@@ -141,10 +141,11 @@ func FuzzApplyPatch(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 				t.Fatalf("undecodable 200 body %q: %v", rec.Body.Bytes(), err)
 			}
-			g, err := patchEng.Catalog().Get("t")
+			gv, err := patchEng.Catalog().View("t")
 			if err != nil {
 				t.Fatalf("patched graph vanished: %v", err)
 			}
+			g := gv.Graph
 			if g.NumNodes() != ack.Nodes || g.NumEdges() != ack.Edges {
 				t.Fatalf("ack says %d/%d, catalog has %d/%d",
 					ack.Nodes, ack.Edges, g.NumNodes(), g.NumEdges())

@@ -303,18 +303,14 @@ func (s *server) listGraphs(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) describeGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	info, err := s.eng.Catalog().Describe(name)
+	// One View, so the counts and the degree stats describe one commit.
+	v, err := s.eng.Catalog().View(name)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	out := GraphDetailResponse{GraphInfo: info}
-	if g, err := s.eng.Catalog().Get(name); err == nil {
-		st := graph.ComputeStats(g)
-		out.AvgDeg = st.AvgDeg
-		out.MaxDeg = st.MaxDeg
-	}
-	writeJSON(w, http.StatusOK, out)
+	st := graph.ComputeStats(v.Graph)
+	writeJSON(w, http.StatusOK, GraphDetailResponse{GraphInfo: v.Describe(), AvgDeg: st.AvgDeg, MaxDeg: st.MaxDeg})
 }
 
 func (s *server) patchGraph(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -188,7 +189,7 @@ func TestIndexCoherence(t *testing.T) {
 	if len(cands) != 1 || cands[0].Name != "b" {
 		t.Fatalf("before remove: %v", cands)
 	}
-	if err := cat.Remove("b"); err != nil {
+	if err := cat.RemoveCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 1 {
@@ -262,7 +263,7 @@ func TestIndexConcurrentChurn(t *testing.T) {
 				g := contentGraph(fmt.Sprintf("churning content %d %d %s", c, i, "filler words to shingle"))
 				_ = cat.Register(name, g)
 				if rng.Intn(4) > 0 { // leave the name registered now and then
-					_ = cat.Remove(name)
+					_ = cat.RemoveCtx(context.Background(), name)
 				}
 			}
 		}(c)
@@ -290,7 +291,7 @@ func TestIndexConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	// Drain the churned names; only the stable graph must remain.
 	for c := 0; c < churners; c++ {
-		_ = cat.Remove(fmt.Sprintf("churn-%d", c))
+		_ = cat.RemoveCtx(context.Background(), fmt.Sprintf("churn-%d", c))
 	}
 	cands, stats := ix.Candidates(q, Policy{})
 	if stats.Graphs != 1 || len(cands) != 1 || cands[0].Name != "stable" {
@@ -381,11 +382,12 @@ func TestIndexPatchEquivalence(t *testing.T) {
 
 		for step := 0; step < 6; step++ {
 			name := names[rng.Intn(len(names))]
-			g, err := cat.Get(name)
+			gv, err := cat.View(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cat.Apply(name, randomSearchPatch(rng, g, words)); err != nil {
+			g := gv.Graph
+			if _, err := cat.ApplyCtx(context.Background(), name, randomSearchPatch(rng, g, words)); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 
@@ -393,10 +395,11 @@ func TestIndexPatchEquivalence(t *testing.T) {
 
 			fresh := catalog.New(0)
 			for _, n := range names {
-				cur, err := cat.Get(n)
+				gv, err := cat.View(n)
 				if err != nil {
 					t.Fatal(err)
 				}
+				cur := gv.Graph
 				if err := fresh.Register(n, cur); err != nil {
 					t.Fatal(err)
 				}
@@ -428,7 +431,7 @@ func TestIndexEdgeOnlyPatchSharesHashes(t *testing.T) {
 	before := ix.recs["g"].sum
 	ix.mu.Unlock()
 
-	if _, err := cat.Apply("g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}}); err != nil {
+	if _, err := cat.ApplyCtx(context.Background(), "g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	cands, _ := ix.Candidates(q, Policy{})
