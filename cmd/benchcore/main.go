@@ -4,27 +4,21 @@
 //
 //	benchcore -out BENCH_core.json
 //
-// Three layers are timed with testing.Benchmark against one shared,
-// catalog-shaped fixture (a random data graph whose closure and
-// closure rows are built once, as internal/catalog does for registered
-// graphs):
+// Three layers are timed against one shared, catalog-shaped fixture (a
+// random data graph whose closure and index are built once, as
+// internal/catalog does for registered graphs):
 //
-//   - matcher setup with a shared index (the serving fast path) and
-//     with a per-request row rebuild (what every request paid before
-//     rows were shareable), whose ratio is the headline of the
-//     zero-rebuild change;
-//   - one full compMaxCard request under each reachability tier —
-//     dense closure rows vs the candidate-sparse component index —
-//     with both tiers' resident bytes, recording the memory/throughput
-//     trade-off of the tiered reachability layer;
+//   - matcher setup with the shared closure and index (the serving
+//     fast path), timed with testing.Benchmark;
+//   - one full compMaxCard request, likewise;
 //   - a concurrent engine workload, reported as requests/sec.
 //
 // A second, separately reported scenario (-large-nodes, default 100k)
 // registers a power-law graph with a strongly connected core through a
-// real engine under the auto tier policy, runs matches against it, and
-// compares the catalog's resident bytes to the dense per-node-rows
-// projection 2·n²/8 — the quadratic footprint that made graphs this
-// size unservable before the sparse tier. CI runs both and archives
+// real engine, runs matches against it, and compares the catalog's
+// resident bytes to the per-node-rows projection 2·n²/8 — the
+// quadratic footprint that made graphs this size unservable before the
+// SCC-condensed index. CI runs both and archives
 // BENCH_core.json and BENCH_core_large.json next to BENCH_engine.json
 // so hot-path and memory regressions are visible per commit.
 package main
@@ -61,22 +55,11 @@ type report struct {
 	// Per-request matcher setup against a catalog-cached graph.
 	SetupNsOp     int64 `json:"setup_ns_op"`
 	SetupAllocsOp int64 `json:"setup_allocs_op"`
-	// The same setup re-deriving closure rows per request (the
-	// pre-sharing behaviour kept as the comparison baseline).
-	SetupRowBuildNsOp     int64   `json:"setup_rowbuild_ns_op"`
-	SetupRowBuildAllocsOp int64   `json:"setup_rowbuild_allocs_op"`
-	SetupSpeedup          float64 `json:"setup_speedup"`
 
-	// One full compMaxCard request: instance + setup + search, under
-	// the dense tier (the default for a graph this size)...
+	// One full compMaxCard request: instance + setup + search.
 	MatchNsOp     int64 `json:"match_ns_op"`
 	MatchAllocsOp int64 `json:"match_allocs_op"`
 	MatchBytesOp  int64 `json:"match_bytes_op"`
-	// ...and under the candidate-sparse tier, with both tiers' index
-	// footprints — the memory/throughput trade-off in one place.
-	SparseMatchNsOp  int64 `json:"sparse_match_ns_op"`
-	DenseIndexBytes  int64 `json:"dense_index_bytes"`
-	SparseIndexBytes int64 `json:"sparse_index_bytes"`
 
 	// Concurrent engine workload.
 	EngineRequests       int     `json:"engine_requests"`
@@ -102,23 +85,14 @@ func main() {
 	pattern := carvePattern(data, *patNodes, 100)
 	mat := simmatrix.NewLabelEquality(pattern, data)
 	reach := closure.Compute(data)
-	rows := closure.NewRows(reach)
-	sparse := closure.NewCompIndex(reach)
+	idx := closure.NewCompIndex(reach)
 
 	setup := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
-			in.SetIndex(rows)
-			in.BenchSetup()
-		}
-	})
-	rebuild := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			in := core.NewInstance(pattern, data, mat, 0.9)
-			in.SetReach(reach)
+			in.SetIndex(idx)
 			in.BenchSetup()
 		}
 	})
@@ -127,16 +101,7 @@ func main() {
 		for i := 0; i < b.N; i++ {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
-			in.SetIndex(rows)
-			_ = in.CompMaxCard()
-		}
-	})
-	sparseMatch := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			in := core.NewInstance(pattern, data, mat, 0.9)
-			in.SetReach(reach)
-			in.SetIndex(sparse)
+			in.SetIndex(idx)
 			_ = in.CompMaxCard()
 		}
 	})
@@ -144,26 +109,18 @@ func main() {
 	reqs, elapsed := engineWorkload(*engineReqs, *clients, *dataNodes, *avgDeg, *patNodes)
 
 	rep := report{
-		Timestamp:             time.Now().UTC().Format(time.RFC3339),
-		GoVersion:             runtime.Version(),
-		GOMAXPROCS:            runtime.GOMAXPROCS(0),
-		DataNodes:             *dataNodes,
-		PatternNodes:          *patNodes,
-		SetupNsOp:             setup.NsPerOp(),
-		SetupAllocsOp:         setup.AllocsPerOp(),
-		SetupRowBuildNsOp:     rebuild.NsPerOp(),
-		SetupRowBuildAllocsOp: rebuild.AllocsPerOp(),
-		MatchNsOp:             match.NsPerOp(),
-		MatchAllocsOp:         match.AllocsPerOp(),
-		MatchBytesOp:          match.AllocedBytesPerOp(),
-		SparseMatchNsOp:       sparseMatch.NsPerOp(),
-		DenseIndexBytes:       int64(rows.Bytes()),
-		SparseIndexBytes:      int64(sparse.Bytes()),
-		EngineRequests:        reqs,
-		EngineRequestsPerSec:  float64(reqs) / elapsed.Seconds(),
-	}
-	if rep.SetupNsOp > 0 {
-		rep.SetupSpeedup = float64(rep.SetupRowBuildNsOp) / float64(rep.SetupNsOp)
+		Timestamp:            time.Now().UTC().Format(time.RFC3339),
+		GoVersion:            runtime.Version(),
+		GOMAXPROCS:           runtime.GOMAXPROCS(0),
+		DataNodes:            *dataNodes,
+		PatternNodes:         *patNodes,
+		SetupNsOp:            setup.NsPerOp(),
+		SetupAllocsOp:        setup.AllocsPerOp(),
+		MatchNsOp:            match.NsPerOp(),
+		MatchAllocsOp:        match.AllocsPerOp(),
+		MatchBytesOp:         match.AllocedBytesPerOp(),
+		EngineRequests:       reqs,
+		EngineRequestsPerSec: float64(reqs) / elapsed.Seconds(),
 	}
 
 	f, err := os.Create(*out)
@@ -176,9 +133,9 @@ func main() {
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("setup %dns/%d allocs (rowbuild %dns, %.1fx), match %dns/%d allocs (sparse %dns), engine %.0f req/s → %s",
-		rep.SetupNsOp, rep.SetupAllocsOp, rep.SetupRowBuildNsOp, rep.SetupSpeedup,
-		rep.MatchNsOp, rep.MatchAllocsOp, rep.SparseMatchNsOp, rep.EngineRequestsPerSec, *out)
+	log.Printf("setup %dns/%d allocs, match %dns/%d allocs, engine %.0f req/s → %s",
+		rep.SetupNsOp, rep.SetupAllocsOp, rep.MatchNsOp, rep.MatchAllocsOp,
+		rep.EngineRequestsPerSec, *out)
 
 	if *largeNodes > 0 {
 		runLargeScenario(largeScenarioConfig{
@@ -190,33 +147,25 @@ func main() {
 }
 
 // largeReport is the BENCH_core_large.json schema: one serving-scale
-// graph registered through a real engine under the auto tier policy.
+// graph registered through a real engine.
 type largeReport struct {
 	Timestamp  string `json:"timestamp"`
 	GoVersion  string `json:"go_version"`
 	Nodes      int    `json:"nodes"`
 	Edges      int    `json:"edges"`
 	Components int    `json:"components"`
-	Tier       string `json:"tier"`
 
 	// RegisterMS is the one-off preprocessing cost: SCC condensation,
 	// component-closure propagation, and index construction.
 	RegisterMS int64 `json:"register_ms"`
 
 	// ResidentBytes is the catalog's resident closure + index memory
-	// after serving. It is compared against two dense projections:
-	// DenseRowsProjectionBytes — per-node row matrices (2·n²/8, both
-	// directions), the naive H2 materialisation that motivated the
-	// tier and the denominator of MemoryReduction — and
-	// DenseTierProjectionBytes, what this repo's SCC-aliased dense
-	// tier (closure.ProjectedRowsBytes, the number the auto policy
-	// weighs) would actually have allocated, with its own
-	// DenseTierReduction.
+	// after serving, compared against DenseRowsProjectionBytes —
+	// per-node row matrices (2·n²/8, both directions), the naive H2
+	// materialisation — as MemoryReduction.
 	ResidentBytes            int64   `json:"resident_bytes"`
 	DenseRowsProjectionBytes int64   `json:"dense_rows_projection_bytes"`
 	MemoryReduction          float64 `json:"memory_reduction"`
-	DenseTierProjectionBytes int64   `json:"dense_tier_projection_bytes"`
-	DenseTierReduction       float64 `json:"dense_tier_reduction"`
 
 	MatchRequests  int     `json:"match_requests"`
 	MatchMsPerOp   float64 `json:"match_ms_per_op"`
@@ -231,8 +180,8 @@ type largeScenarioConfig struct {
 }
 
 // runLargeScenario drives the ≥100k-node path end to end: generate,
-// register (auto tier — must pick candidate-sparse at this size),
-// match, and report memory against the dense projection.
+// register, match, and report memory against the per-node-rows
+// projection.
 func runLargeScenario(cfg largeScenarioConfig) {
 	if cfg.requests <= 0 {
 		cfg.requests = 1 // at least one request: the ms/op division needs it
@@ -271,14 +220,10 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	matchMS := float64(time.Since(matchStart).Milliseconds()) / float64(cfg.requests)
 
 	st := eng.Catalog().Stats()
-	tier := "dense"
-	if st.ResidentSparse > 0 {
-		tier = "sparse"
-	}
 	n := int64(g.NumNodes())
 	projection := 2 * n * 8 * ((n + 63) / 64)
-	// The catalog holds the shared closure; reuse it for the dense-tier
-	// projection and the component count instead of recomputing.
+	// The catalog holds the shared closure; reuse it for the component
+	// count instead of recomputing.
 	v, err := eng.Catalog().View("large")
 	if err != nil {
 		log.Fatal(err)
@@ -290,18 +235,15 @@ func runLargeScenario(cfg largeScenarioConfig) {
 		Nodes:                    g.NumNodes(),
 		Edges:                    g.NumEdges(),
 		Components:               reach.NumComponents(),
-		Tier:                     tier,
 		RegisterMS:               registerMS,
 		ResidentBytes:            st.ResidentBytes,
 		DenseRowsProjectionBytes: projection,
-		DenseTierProjectionBytes: int64(closure.ProjectedRowsBytes(reach)),
 		MatchRequests:            cfg.requests,
 		MatchMsPerOp:             matchMS,
 		MatchedPattern:           matched,
 	}
 	if st.ResidentBytes > 0 {
 		rep.MemoryReduction = float64(projection) / float64(st.ResidentBytes)
-		rep.DenseTierReduction = float64(rep.DenseTierProjectionBytes) / float64(st.ResidentBytes)
 	}
 
 	f, err := os.Create(cfg.out)
@@ -314,11 +256,10 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("large: %d nodes / %d comps, tier %s, register %dms, match %.1fms/op, resident %.1fMB vs per-node rows %.0fMB (%.0fx) / dense tier %.0fMB (%.0fx) → %s",
-		rep.Nodes, rep.Components, rep.Tier, rep.RegisterMS, rep.MatchMsPerOp,
+	log.Printf("large: %d nodes / %d comps, register %dms, match %.1fms/op, resident %.1fMB vs per-node rows %.0fMB (%.0fx) → %s",
+		rep.Nodes, rep.Components, rep.RegisterMS, rep.MatchMsPerOp,
 		float64(rep.ResidentBytes)/1e6, float64(rep.DenseRowsProjectionBytes)/1e6,
-		rep.MemoryReduction, float64(rep.DenseTierProjectionBytes)/1e6,
-		rep.DenseTierReduction, cfg.out)
+		rep.MemoryReduction, cfg.out)
 }
 
 // engineWorkload pushes a fixed pool of requests through a fresh engine

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"graphmatch/internal/catalog"
-	"graphmatch/internal/closure"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/syngen"
@@ -111,13 +110,9 @@ func main() {
 	}
 
 	// Scenario A. Registration and the first closure build are untimed
-	// warm-up: the storm measures steady-state mutation cost only. The
-	// tier is pinned sparse — the regime the full-size graph selects
-	// anyway — so the CI-sized -short graph (which auto would classify
-	// dense) measures the same maintenance path as the full run;
-	// dense-tier row maintenance is quickchecked in the catalog tests.
-	inc := catalog.New(8, catalog.WithTierPolicy(closure.PolicySparse))
-	reb := catalog.New(8, catalog.WithTierPolicy(closure.PolicySparse), catalog.WithDeltaBudget(-1))
+	// warm-up: the storm measures steady-state mutation cost only.
+	inc := catalog.New(8)
+	reb := catalog.New(8, catalog.WithDeltaBudget(-1))
 	for _, c := range []*catalog.Catalog{inc, reb} {
 		if err := c.Register("web", g.Clone()); err != nil {
 			log.Fatal(err)

@@ -9,8 +9,8 @@
 // data_<i>.json. Web archives write version_<i>.json plus the two
 // skeletons of each version (skeleton1_<i>.json with α = 0.2,
 // skeleton2_<i>.json with the top-20 rule). Large graphs (power-law
-// degrees, one strongly connected core — the regime the
-// candidate-sparse reachability tier serves) write large.json plus a
+// degrees, one strongly connected core — the regime the SCC-condensed
+// reachability index serves) write large.json plus a
 // carved pattern_large.json ready for phomd smoke tests.
 package main
 

@@ -15,13 +15,11 @@
 // Hit/miss/eviction counters expose cache effectiveness to /v1/stats
 // and the benchmarks.
 //
-// Each cached closure also carries a matcher-facing reachability index
-// (closure.Index) in one of two tiers, selected automatically by
-// projected size: small graphs get dense per-node closure rows (fast
-// word-level trims), large graphs get the candidate-sparse
-// component-probe tier whose footprint is O(n + k²) in the number of
-// SCC-condensation components k rather than O(n²) — the representation
-// that lets the catalog register ≥100k-node data graphs at all.
+// Each cached closure also carries the matcher-facing reachability
+// index (closure.CompIndex), built with it: component probes whose
+// footprint is O(n + k²) in the number of SCC-condensation components k
+// rather than O(n²) — the representation that lets the catalog register
+// ≥100k-node data graphs at all.
 package catalog
 
 import (
@@ -60,7 +58,7 @@ const DefaultMaxClosures = 64
 type Option func(*Catalog)
 
 // WithMaxBytes bounds the total resident bytes of cached reachability
-// indexes (closures plus their tier indexes). When an insertion or a
+// indexes (closures plus their matcher indexes). When an insertion or a
 // build pushes the resident total past the budget, least-recently-used
 // entries are evicted until it fits again — except the entry just
 // touched, so a single closure larger than the budget still serves its
@@ -68,19 +66,6 @@ type Option func(*Catalog)
 // miss). Non-positive means unbounded (the default).
 func WithMaxBytes(n int64) Option {
 	return func(c *Catalog) { c.maxBytes = n }
-}
-
-// WithTierPolicy fixes the reachability-index tier instead of the
-// default auto selection by projected size.
-func WithTierPolicy(p closure.TierPolicy) Option {
-	return func(c *Catalog) { c.tierPolicy = p }
-}
-
-// WithDenseMaxBytes overrides the auto-tier threshold: graphs whose
-// projected dense rows exceed n bytes get the candidate-sparse tier.
-// Non-positive keeps closure.DefaultDenseMaxBytes.
-func WithDenseMaxBytes(n int) Option {
-	return func(c *Catalog) { c.denseMaxBytes = n }
 }
 
 // WithDeltaBudget tunes incremental closure maintenance on Apply: the
@@ -101,19 +86,6 @@ type Stats struct {
 	// ResidentClosures counts reachability indexes currently cached
 	// (including ones still being built).
 	ResidentClosures int `json:"resident_closures"`
-	// ResidentIndexes counts cached closures whose matcher-facing
-	// reachability index has been built; indexes are built lazily, on
-	// the first request that runs an index-consuming algorithm.
-	ResidentIndexes int `json:"resident_indexes"`
-	// ResidentDense and ResidentSparse break ResidentIndexes down by
-	// tier (dense closure rows vs candidate-sparse component probes).
-	ResidentDense  int `json:"resident_dense"`
-	ResidentSparse int `json:"resident_sparse"`
-	// DenseIndexBytes and SparseIndexBytes approximate the heap held by
-	// resident indexes of each tier, beyond the closures they derive
-	// from.
-	DenseIndexBytes  int64 `json:"dense_index_bytes"`
-	SparseIndexBytes int64 `json:"sparse_index_bytes"`
 	// ResidentBytes approximates the heap held by resident reachability
 	// closures and their indexes — the quantity the LRU bounds protect.
 	ResidentBytes int64 `json:"resident_bytes"`
@@ -121,17 +93,14 @@ type Stats struct {
 	MaxClosures int `json:"max_closures"`
 	// MaxBytes is the LRU capacity by resident bytes; 0 = unbounded.
 	MaxBytes int64 `json:"max_bytes"`
-	// TierPolicy is the index tier selection in force (auto, dense or
-	// sparse).
-	TierPolicy string `json:"tier_policy"`
 	// Hits counts closure resolutions served from the cache.
 	Hits uint64 `json:"hits"`
 	// Misses counts closure resolutions that had to build one.
 	Misses uint64 `json:"misses"`
 	// Evictions counts closures dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// BuildTime is the cumulative wall time spent building closures
-	// and closure rows.
+	// BuildTime is the cumulative wall time spent building closures,
+	// from scratch or by delta maintenance.
 	BuildTime time.Duration `json:"build_ns"`
 	// PatchesIncremental counts Apply commits whose cached closure was
 	// patched in place; PatchesRebuild counts the ones that fell back to
@@ -157,32 +126,35 @@ type closureKey struct {
 	pathLimit int
 }
 
-// entry is one cache slot. ready is closed once reach is final, so
-// lookups can wait for an in-flight build without holding the catalog
-// lock. Builds cannot fail (closure.ComputeBounded is total), so the
-// slot carries no error. The matcher-facing reachability index rides
-// in the same slot — built lazily (single-flight via idxOnce) because
-// only the approximation algorithms consume it — so the LRU bounds
-// account for closure and index together and eviction drops both.
-// bytes and idxBytes are maintained under the catalog lock for the
-// ResidentBytes stat.
+// entry is one cache slot. ready is closed once reach and idx are
+// final, so lookups can wait for an in-flight build without holding the
+// catalog lock. Builds cannot fail (closure.ComputeBounded is total), so
+// the slot carries no error. The matcher-facing index wraps reach in
+// O(1), so it is built with the closure and rides in the same slot: the
+// LRU bounds account for both in bytes, and eviction drops both. bytes
+// is maintained under the catalog lock for the ResidentBytes stat.
 type entry struct {
 	key   closureKey
 	elem  *list.Element
 	ready chan struct{}
 	reach *closure.Reach
-
-	idxOnce sync.Once
-	idx     closure.Index
-
-	bytes    int64
-	idxBytes int64
-	idxTier  closure.Tier
-	// idxCounted records that this entry contributed to the per-tier
-	// resident counters (idxBytes alone cannot: a tiny graph's index
-	// can round to zero bytes while still being resident).
-	idxCounted bool
+	idx   *closure.CompIndex
+	bytes int64
 }
+
+// newEntry returns an empty, unpublished slot for key.
+func newEntry(key closureKey) *entry {
+	return &entry{key: key, ready: make(chan struct{})}
+}
+
+// finish installs the built closure and its index and releases waiters.
+func (e *entry) finish(r *closure.Reach) {
+	e.reach, e.idx = r, closure.NewCompIndex(r)
+	close(e.ready)
+}
+
+// size approximates the heap the slot holds: closure plus index.
+func (e *entry) size() int64 { return int64(e.reach.Bytes() + e.idx.Bytes()) }
 
 // graphEntry is one committed version of a registered data graph: every
 // Register, Apply and Replace installs a fresh entry, so the pointer
@@ -258,17 +230,13 @@ type Catalog struct {
 	persist  Persister
 	patchObs PatchObserver
 
-	tierPolicy    closure.TierPolicy
-	denseMaxBytes int
-	deltaBudget   int
+	deltaBudget int
 
 	hits, misses, evictions uint64
 	patchesIncremental      uint64
 	patchesRebuild          uint64
 	buildTime               time.Duration
 	residentBytes           int64
-	tierCount               map[closure.Tier]int   // resident indexes per tier
-	tierBytes               map[closure.Tier]int64 // their bytes per tier
 }
 
 // New returns an empty catalog bounding resident closures at
@@ -279,19 +247,13 @@ func New(maxClosures int, opts ...Option) *Catalog {
 		maxClosures = DefaultMaxClosures
 	}
 	c := &Catalog{
-		graphs:     make(map[string]*graphEntry),
-		closures:   make(map[closureKey]*entry),
-		lru:        list.New(),
-		capacity:   maxClosures,
-		tierPolicy: closure.PolicyAuto,
-		tierCount:  make(map[closure.Tier]int),
-		tierBytes:  make(map[closure.Tier]int64),
+		graphs:   make(map[string]*graphEntry),
+		closures: make(map[closureKey]*entry),
+		lru:      list.New(),
+		capacity: maxClosures,
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.tierPolicy == "" {
-		c.tierPolicy = closure.PolicyAuto
 	}
 	return c
 }
@@ -429,9 +391,9 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // half-applied edit.
 //
 // The cached full closure is maintained incrementally whenever it can
-// be: the delta update (and, for the dense tier, the row patch) runs
-// outside the lock against the captured closure, and the commit swaps
-// the patched closure in alongside the graph. When the update cannot be
+// be: the delta update runs outside the lock against the captured
+// closure, and the commit swaps the patched closure (rewrapped in its
+// O(1) index) in alongside the graph. When the update cannot be
 // incremental — no cached closure, the patch reshapes the SCC
 // condensation, or the delta cone blows the cost budget — the closure
 // is invalidated and rebuilt eagerly, like Register's. In-flight
@@ -464,15 +426,11 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		c.mu.Lock()
 		ge, ok := c.graphs[name]
 		var oldReach *closure.Reach
-		var oldIdx closure.Index
 		if ok {
 			if e, cached := c.closures[closureKey{name: name, pathLimit: 0}]; cached {
 				select {
 				case <-e.ready: // only a finished build can be patched
 					oldReach = e.reach
-					if e.idxCounted {
-						oldIdx = e.idx
-					}
 				default:
 				}
 			}
@@ -491,7 +449,6 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		// so concurrent readers of the old entry are undisturbed and a
 		// lost commit race just discards the work.
 		var newReach *closure.Reach
-		var newIdx closure.Index
 		var deltaTime time.Duration
 		incremental, coneSize = false, 0
 		if oldReach != nil && c.deltaBudget >= 0 {
@@ -500,27 +457,6 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 				newReach = nr
 				incremental = true
 				coneSize = d.ConeSize()
-				switch old := oldIdx.(type) {
-				case nil:
-					// No index built yet; leave it lazy.
-				case *closure.CompIndex:
-					// The sparse tier reads straight through the Reach:
-					// rewrapping is O(1), incremental by construction.
-					newIdx = closure.NewCompIndex(newReach)
-				case *closure.Rows:
-					if rw, ok3 := closure.UpdateRows(old, oldReach, newReach, d); ok3 {
-						newIdx = rw
-					} else {
-						// Row patch declined (node growth or a wide
-						// cone): rebuild the index — cheap at the scale
-						// the dense tier admits — re-running tier
-						// selection, since the graph may have outgrown
-						// the dense budget.
-						newIdx = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes)
-					}
-				default:
-					newIdx = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes)
-				}
 			}
 			deltaTime = time.Since(deltaStart)
 		}
@@ -543,7 +479,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		c.buildTime += deltaTime
 		if incremental {
 			c.patchesIncremental++
-			c.installClosureLocked(name, newReach, newIdx)
+			c.installClosureLocked(name, newReach)
 		} else {
 			c.patchesRebuild++
 			c.dropClosuresLocked(name)
@@ -571,23 +507,18 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 }
 
 // installClosureLocked replaces every cached closure of name with one
-// freshly patched full-closure entry (already built, ready closed) and
-// optionally its maintained index, keeping the LRU accounting exact.
-// Bounded-path-limit entries are simply dropped — they are rebuilt
-// lazily on next use. Callers hold c.mu.
-func (c *Catalog) installClosureLocked(name string, r *closure.Reach, idx closure.Index) {
+// freshly patched full-closure entry (already built, ready closed),
+// keeping the LRU accounting exact. Bounded-path-limit entries are
+// simply dropped — they are rebuilt lazily on next use. Callers hold
+// c.mu.
+func (c *Catalog) installClosureLocked(name string, r *closure.Reach) {
 	c.dropClosuresLocked(name)
-	key := closureKey{name: name, pathLimit: 0}
-	e := &entry{key: key, ready: make(chan struct{}), reach: r}
-	close(e.ready)
+	e := newEntry(closureKey{name: name, pathLimit: 0})
+	e.finish(r)
 	e.elem = c.lru.PushFront(e)
-	c.closures[key] = e
-	e.bytes = int64(r.Bytes())
+	c.closures[e.key] = e
+	e.bytes = e.size()
 	c.residentBytes += e.bytes
-	if idx != nil {
-		e.idxOnce.Do(func() { e.idx = idx })
-		c.accountIndexLocked(e)
-	}
 	c.evictLocked()
 	c.evictBytesLocked(e)
 }
@@ -676,21 +607,8 @@ func (c *Catalog) Export(prepare func()) map[string]*graph.Graph {
 func (c *Catalog) dropEntryLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	delete(c.closures, e.key)
-	c.residentBytes -= e.bytes + e.idxBytes
-	if e.idxCounted {
-		c.tierCount[e.idxTier]--
-		c.tierBytes[e.idxTier] -= e.idxBytes
-	}
-	e.bytes, e.idxBytes, e.idxCounted = 0, 0, false
-}
-
-// accountIndexLocked adds a resident slot's built index to the resident
-// memory stats. Callers hold c.mu.
-func (c *Catalog) accountIndexLocked(e *entry) {
-	e.idxBytes, e.idxTier, e.idxCounted = int64(e.idx.Bytes()), e.idx.Tier(), true
-	c.residentBytes += e.idxBytes
-	c.tierCount[e.idxTier]++
-	c.tierBytes[e.idxTier] += e.idxBytes
+	c.residentBytes -= e.bytes
+	e.bytes = 0
 }
 
 // View is one committed version of a registered graph — the unit every
@@ -773,17 +691,13 @@ func (v View) Reach(ctx context.Context, pathLimit int) *closure.Reach {
 }
 
 // Index is Reach plus the matcher-facing reachability index (the
-// representation the compMaxCard / compMaxSim trim consumes, in
-// whichever tier the catalog's policy selects for the graph's size).
-// The index is built once per cached closure — single-flight, like the
-// closure itself — and shared by every request, so per-request matcher
-// setup materialises nothing.
+// representation the compMaxCard / compMaxSim trim consumes). The index
+// is built with its cached closure and shared by every request, so
+// per-request matcher setup materialises nothing.
 func (v View) Index(ctx context.Context, pathLimit int) (*closure.Reach, closure.Index) {
 	sp := v.resolveSpan(ctx)
 	defer sp.End()
 	e := v.entry(sp, pathLimit)
-	v.c.ensureIndex(sp, e)
-	sp.SetStr("tier", string(e.idx.Tier()))
 	return e.reach, e.idx
 }
 
@@ -805,19 +719,15 @@ type GraphInfo struct {
 	// ResidentClosures counts cached closure entries derived from this
 	// graph (one per requested path limit).
 	ResidentClosures int `json:"resident_closures"`
-	// ClosureBytes sums the resident closure bytes across those entries.
+	// ClosureBytes sums the resident bytes of those entries, each
+	// closure with its matcher index.
 	ClosureBytes int64 `json:"closure_bytes"`
-	// IndexTier is the tier of the full (path-limit 0) closure's
-	// matcher-facing index, empty while none is built.
-	IndexTier string `json:"index_tier,omitempty"`
-	// IndexBytes sums the resident index bytes across the entries.
-	IndexBytes int64 `json:"index_bytes"`
 }
 
 // Describe reports the View's graph: its size plus how much
-// reachability state is currently resident for it and in which tier. A
-// superseded View has none resident: its closures left the cache with
-// the commit that replaced it.
+// reachability state is currently resident for it. A superseded View
+// has none resident: its closures left the cache with the commit that
+// replaced it.
 func (v View) Describe() GraphInfo {
 	c, name := v.c, v.e.name
 	info := GraphInfo{
@@ -836,10 +746,6 @@ func (v View) Describe() GraphInfo {
 		}
 		info.ResidentClosures++
 		info.ClosureBytes += e.bytes
-		info.IndexBytes += e.idxBytes
-		if k.pathLimit == 0 && e.idxCounted {
-			info.IndexTier = string(e.idxTier)
-		}
 	}
 	return info
 }
@@ -863,32 +769,6 @@ func (c *Catalog) Len() int {
 	return len(c.graphs)
 }
 
-// ensureIndex performs the single-flight matcher-index build for a
-// resolved closure entry. When this call is the one that builds, a
-// catalog.index_build child span records the tier-selection outcome
-// under the request's resolve span (inert span = untraced caller).
-func (c *Catalog) ensureIndex(sp trace.Span, e *entry) {
-	e.idxOnce.Do(func() {
-		bsp := sp.Child("catalog.index_build")
-		start := time.Now()
-		e.idx = closure.BuildIndex(e.reach, c.tierPolicy, c.denseMaxBytes)
-		built := time.Since(start)
-		bsp.SetStr("tier", string(e.idx.Tier()))
-		bsp.SetInt("bytes", int64(e.idx.Bytes()))
-		bsp.End()
-		c.mu.Lock()
-		c.buildTime += built
-		// Account only while the entry is still resident; an entry
-		// evicted mid-build keeps serving its direct waiters but no
-		// longer counts toward resident memory.
-		if c.closures[e.key] == e {
-			c.accountIndexLocked(e)
-			c.evictBytesLocked(e)
-		}
-		c.mu.Unlock()
-	})
-}
-
 // entry resolves the closure slot of the View's graph under pathLimit,
 // waiting on or performing the single-flight closure build, and records
 // whether the closure was already cached (possibly still building under
@@ -910,7 +790,7 @@ func (v View) entry(sp trace.Span, pathLimit int) *entry {
 		return e
 	}
 	c.misses++
-	e := &entry{key: key, ready: make(chan struct{})}
+	e := newEntry(key)
 	if current {
 		e.elem = c.lru.PushFront(e)
 		c.closures[key] = e
@@ -921,18 +801,16 @@ func (v View) entry(sp trace.Span, pathLimit int) *entry {
 
 	bsp := sp.Child("catalog.closure_build")
 	start := time.Now()
-	e.reach = closure.ComputeBounded(v.Graph, key.pathLimit)
+	e.finish(closure.ComputeBounded(v.Graph, key.pathLimit))
 	built := time.Since(start)
-	close(e.ready)
 	bsp.SetInt("path_limit", int64(key.pathLimit))
 	bsp.End()
 
-	rb := int64(e.reach.Bytes())
 	c.mu.Lock()
 	c.buildTime += built
 	if c.closures[key] == e { // published and not evicted while building
-		e.bytes = rb
-		c.residentBytes += rb
+		e.bytes = e.size()
+		c.residentBytes += e.bytes
 		c.evictBytesLocked(e)
 	}
 	c.mu.Unlock()
@@ -982,15 +860,9 @@ func (c *Catalog) Stats() Stats {
 	return Stats{
 		Graphs:             len(c.graphs),
 		ResidentClosures:   c.lru.Len(),
-		ResidentIndexes:    c.tierCount[closure.TierDense] + c.tierCount[closure.TierSparse],
-		ResidentDense:      c.tierCount[closure.TierDense],
-		ResidentSparse:     c.tierCount[closure.TierSparse],
-		DenseIndexBytes:    c.tierBytes[closure.TierDense],
-		SparseIndexBytes:   c.tierBytes[closure.TierSparse],
 		ResidentBytes:      c.residentBytes,
 		MaxClosures:        c.capacity,
 		MaxBytes:           c.maxBytes,
-		TierPolicy:         string(c.tierPolicy),
 		Hits:               c.hits,
 		Misses:             c.misses,
 		Evictions:          c.evictions,

@@ -279,40 +279,6 @@ func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 	}
 }
 
-func TestTierPolicySelection(t *testing.T) {
-	g := chain(16)
-	for _, tc := range []struct {
-		opts []Option
-		want closure.Tier
-	}{
-		{nil, closure.TierDense}, // auto on a tiny graph
-		{[]Option{WithTierPolicy(closure.PolicySparse)}, closure.TierSparse},
-		{[]Option{WithTierPolicy(closure.PolicyDense)}, closure.TierDense},
-		// Auto with a 1-byte dense budget tips over to sparse.
-		{[]Option{WithDenseMaxBytes(1)}, closure.TierSparse},
-	} {
-		c := New(4, tc.opts...)
-		if err := c.Register("web", g.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		_, _, idx, err := c.GetWithIndexCtx(context.Background(), "web", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Tier() != tc.want {
-			t.Fatalf("opts %v built tier %q, want %q", tc.opts, idx.Tier(), tc.want)
-		}
-		st := c.Stats()
-		wantDense, wantSparse := 1, 0
-		if tc.want == closure.TierSparse {
-			wantDense, wantSparse = 0, 1
-		}
-		if st.ResidentDense != wantDense || st.ResidentSparse != wantSparse {
-			t.Fatalf("per-tier counts %d/%d, want %d/%d", st.ResidentDense, st.ResidentSparse, wantDense, wantSparse)
-		}
-	}
-}
-
 func TestByteBudgetEviction(t *testing.T) {
 	// A budget big enough for roughly one chain(60) closure: resolving a
 	// second graph must evict the first, but never the entry just
@@ -359,9 +325,10 @@ func TestByteBudgetKeepsOversizedEntryServing(t *testing.T) {
 }
 
 // closureFootprint reports the resident bytes of one chain(n) closure
-// as the catalog accounts them.
+// and its index as the catalog accounts them.
 func closureFootprint(n int) int {
-	return closure.Compute(chain(n)).Bytes()
+	r := closure.Compute(chain(n))
+	return r.Bytes() + closure.NewCompIndex(r).Bytes()
 }
 
 func TestConcurrentIndexSingleFlight(t *testing.T) {
@@ -390,8 +357,8 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 			t.Fatal("concurrent GetWithIndex built more than one index")
 		}
 	}
-	if st := c.Stats(); st.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", st.ResidentIndexes)
+	if st := c.Stats(); st.ResidentClosures != 1 || st.Misses != 1 {
+		t.Fatalf("resident %d, misses %d: want one slot built once", st.ResidentClosures, st.Misses)
 	}
 }
 
@@ -403,21 +370,15 @@ func TestMemoryAccounting(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.ResidentBytes <= 0 {
-		t.Fatalf("ResidentBytes = %d, want > 0 after registration", st.ResidentBytes)
+	if want := int64(2 * closureFootprint(20)); st.ResidentBytes != want {
+		t.Fatalf("ResidentBytes = %d, want %d (two closures with their indexes)", st.ResidentBytes, want)
 	}
-	if st.ResidentIndexes != 0 {
-		t.Fatalf("ResidentIndexes = %d, want 0 before any index consumer", st.ResidentIndexes)
-	}
+	// The index is built with its closure: resolving it adds nothing.
 	if _, _, _, err := c.GetWithIndexCtx(context.Background(), "a", 0); err != nil {
 		t.Fatal(err)
 	}
-	withIdx := c.Stats()
-	if withIdx.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", withIdx.ResidentIndexes)
-	}
-	if withIdx.ResidentBytes <= st.ResidentBytes {
-		t.Fatal("materialising the index must grow ResidentBytes")
+	if got := c.Stats().ResidentBytes; got != st.ResidentBytes {
+		t.Fatalf("resolving the index moved ResidentBytes %d → %d", st.ResidentBytes, got)
 	}
 	// Filling the LRU with fresh slots evicts the old ones and returns
 	// their bytes; removing everything zeroes the account.
@@ -430,17 +391,14 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := c.Stats()
-	if end.ResidentBytes != 0 || end.ResidentIndexes != 0 || end.ResidentClosures != 0 {
+	if end.ResidentBytes != 0 || end.ResidentClosures != 0 {
 		t.Fatalf("after removing all graphs: %+v, want empty accounting", end)
-	}
-	if end.ResidentDense != 0 || end.ResidentSparse != 0 || end.DenseIndexBytes != 0 || end.SparseIndexBytes != 0 {
-		t.Fatalf("per-tier accounting not zeroed: %+v", end)
 	}
 }
 
 func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
-	// A 0-node graph's index occupies zero bytes but is still resident;
-	// the ResidentIndexes counter must balance across build and removal
+	// A 0-node graph's closure and index occupy zero bytes but are still
+	// resident; the slot count must balance across build and removal
 	// even then.
 	c := New(2)
 	empty := graph.New(0)
@@ -450,13 +408,13 @@ func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
 	if _, _, _, err := c.GetWithIndexCtx(context.Background(), "empty", 0); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", st.ResidentIndexes)
+	if st := c.Stats(); st.ResidentClosures != 1 || st.ResidentBytes != 0 {
+		t.Fatalf("resident %d (%d bytes), want one zero-byte slot", st.ResidentClosures, st.ResidentBytes)
 	}
 	if err := c.RemoveCtx(context.Background(), "empty"); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ResidentIndexes != 0 || st.ResidentBytes != 0 {
+	if st := c.Stats(); st.ResidentClosures != 0 || st.ResidentBytes != 0 {
 		t.Fatalf("after remove: %+v, want zeroed accounting", st)
 	}
 }
@@ -579,15 +537,8 @@ func TestDescribe(t *testing.T) {
 	if info.Name != "g" || info.Nodes != 6 || info.Edges != 5 {
 		t.Fatalf("info = %+v", info)
 	}
-	if info.ResidentClosures != 1 || info.ClosureBytes <= 0 {
-		t.Fatalf("closure accounting: %+v", info)
-	}
-	if info.IndexTier != "" {
-		t.Fatalf("index tier %q before any index build", info.IndexTier)
-	}
-	v.Index(context.Background(), 0)
-	if info = v.Describe(); info.IndexTier != string(closure.TierDense) {
-		t.Fatalf("index tier = %q after index build, want dense", info.IndexTier)
+	if info.ResidentClosures != 1 || info.ClosureBytes != int64(closureFootprint(6)) {
+		t.Fatalf("closure accounting: %+v, want one slot of %d bytes", info, closureFootprint(6))
 	}
 	if _, err := c.View("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("describe missing: %v", err)
@@ -767,77 +718,72 @@ func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalo
 // TestApplyIncrementalEquivalence is the closure-maintenance
 // quickcheck: a catalog patching its cached closures incrementally must
 // expose exactly the same reachability and index answers as one that
-// rebuilds from scratch (WithDeltaBudget(-1)), across both index tiers
-// and arbitrary patch sequences.
+// rebuilds from scratch (WithDeltaBudget(-1)), across arbitrary patch
+// sequences.
 func TestApplyIncrementalEquivalence(t *testing.T) {
-	tiers := []closure.TierPolicy{closure.PolicyDense, closure.PolicySparse}
 	trials := 40
 	if testing.Short() {
 		trials = 10
 	}
-	for _, tier := range tiers {
-		t.Run(string(tier), func(t *testing.T) {
-			for trial := 0; trial < trials; trial++ {
-				rng := rand.New(rand.NewSource(int64(trial)))
-				n := 4 + rng.Intn(12)
-				g := graph.New(n)
-				for i := 0; i < n; i++ {
-					g.AddNode(fmt.Sprintf("n%d", i))
-				}
-				for i := 0; i < rng.Intn(3*n); i++ {
-					g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-				}
-				g.Finish()
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 4 + rng.Intn(12)
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddNode(fmt.Sprintf("n%d", i))
+		}
+		for i := 0; i < rng.Intn(3*n); i++ {
+			g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+		}
+		g.Finish()
 
-				inc := New(0, WithTierPolicy(tier))
-				reb := New(0, WithTierPolicy(tier), WithDeltaBudget(-1))
-				for _, c := range []*Catalog{inc, reb} {
-					if err := c.Register("g", g); err != nil {
-						t.Fatal(err)
-					}
-					if _, _, _, err := c.GetWithIndexCtx(context.Background(), "g", 0); err != nil {
-						t.Fatal(err)
-					}
-				}
+		inc := New(0)
+		reb := New(0, WithDeltaBudget(-1))
+		for _, c := range []*Catalog{inc, reb} {
+			if err := c.Register("g", g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := c.GetWithIndexCtx(context.Background(), "g", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-				for step := 0; step < 6; step++ {
-					applyRandomPatch(t, rng, "g", inc, reb)
-					_, ri, ii, err := inc.GetWithIndexCtx(context.Background(), "g", 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, rr, ir, err := reb.GetWithIndexCtx(context.Background(), "g", 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ri.NumNodes() != rr.NumNodes() {
-						t.Fatalf("trial %d step %d: node counts diverge: %d vs %d", trial, step, ri.NumNodes(), rr.NumNodes())
-					}
-					for u := 0; u < ri.NumNodes(); u++ {
-						uu := graph.NodeID(u)
-						if ii.FanOut(uu) != ir.FanOut(uu) || ii.FanIn(uu) != ir.FanIn(uu) {
-							t.Fatalf("trial %d step %d: fan counts diverge at %d", trial, step, u)
-						}
-						for v := 0; v < ri.NumNodes(); v++ {
-							vv := graph.NodeID(v)
-							if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
-								t.Fatalf("trial %d step %d: reachability diverges at (%d,%d): inc=%v reb=%v",
-									trial, step, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
-							}
-							if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
-								t.Fatalf("trial %d step %d: index diverges at (%d,%d)", trial, step, u, v)
-							}
-						}
-					}
+		for step := 0; step < 6; step++ {
+			applyRandomPatch(t, rng, "g", inc, reb)
+			_, ri, ii, err := inc.GetWithIndexCtx(context.Background(), "g", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rr, ir, err := reb.GetWithIndexCtx(context.Background(), "g", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ri.NumNodes() != rr.NumNodes() {
+				t.Fatalf("trial %d step %d: node counts diverge: %d vs %d", trial, step, ri.NumNodes(), rr.NumNodes())
+			}
+			for u := 0; u < ri.NumNodes(); u++ {
+				uu := graph.NodeID(u)
+				if ii.FanOut(uu) != ir.FanOut(uu) || ii.FanIn(uu) != ir.FanIn(uu) {
+					t.Fatalf("trial %d step %d: fan counts diverge at %d", trial, step, u)
 				}
-				if inc.Stats().PatchesIncremental == 0 {
-					t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
-				}
-				if reb.Stats().PatchesIncremental != 0 {
-					t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
+				for v := 0; v < ri.NumNodes(); v++ {
+					vv := graph.NodeID(v)
+					if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
+						t.Fatalf("trial %d step %d: reachability diverges at (%d,%d): inc=%v reb=%v",
+							trial, step, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
+					}
+					if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
+						t.Fatalf("trial %d step %d: index diverges at (%d,%d)", trial, step, u, v)
+					}
 				}
 			}
-		})
+		}
+		if inc.Stats().PatchesIncremental == 0 {
+			t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
+		}
+		if reb.Stats().PatchesIncremental != 0 {
+			t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
+		}
 	}
 }
 
@@ -875,8 +821,7 @@ func TestViewSurvivesCommit(t *testing.T) {
 		t.Fatalf("superseded view describe = %+v, want 4 nodes and nothing resident", info)
 	}
 	after := c.Stats()
-	if after.ResidentClosures != before.ResidentClosures || after.ResidentBytes != before.ResidentBytes ||
-		after.ResidentIndexes != before.ResidentIndexes {
+	if after.ResidentClosures != before.ResidentClosures || after.ResidentBytes != before.ResidentBytes {
 		t.Fatalf("superseded view touched the cache: %+v → %+v", before, after)
 	}
 	cur := reach(t, c, "g", 0)

@@ -177,10 +177,17 @@ func ComputeBFS(g *graph.Graph) *Reach {
 func (r *Reach) NumNodes() int { return r.n }
 
 // NumComponents reports the number of components the index stores —
-// the k that sizes the candidate-sparse tier's O(k²) footprint (equal
-// to NumNodes for the per-node constructions ComputeBFS and
-// ComputeBounded).
+// the k that sizes its O(k²) component rows (equal to NumNodes for the
+// per-node constructions ComputeBFS and ComputeBounded).
 func (r *Reach) NumComponents() int { return len(r.compReach) }
+
+// Bytes approximates the heap bytes held by the Reach index: the
+// component assignment plus the component reachability rows. Used by
+// the catalog's cache accounting.
+func (r *Reach) Bytes() int {
+	k := len(r.compReach)
+	return 8*r.n + k*8*((k+63)/64)
+}
 
 // Reachable reports whether a nonempty path from u to v exists.
 func (r *Reach) Reachable(u, v graph.NodeID) bool {

@@ -107,7 +107,7 @@ func (r *Reach) ApplyEdges(g0 *graph.Graph, addedNodes int, dels, adds [][2]grap
 	}
 
 	// All rows grow to a uniform capacity of k2 components, keeping the
-	// sparse tier's probe loop branch-free. Grown shares the underlying
+	// CompIndex probe loop branch-free. Grown shares the underlying
 	// words when the word count is unchanged, so growth is usually a
 	// header rewrap, not a copy; either way the words are shared with
 	// the receiver until own() clones them.
@@ -420,101 +420,4 @@ func stronglyConnected(g0 *graph.Graph, comp []int, c int, ms []graph.NodeID,
 		return false, work
 	}
 	return sweep(true) == len(ms), work
-}
-
-// UpdateRows incrementally rebuilds the dense Rows expansion after an
-// ApplyEdges delta: only the forward rows of dirty components and the
-// backward rows of columns whose bits changed are recomputed; every
-// other row is shared with old. It returns ok=false — and the caller
-// runs NewRows — when nodes were added (the row width changes, and at
-// dense-tier scale a fresh expansion is cheap) or when the affected
-// slice is large enough that a full rebuild would be comparable.
-func UpdateRows(old *Rows, oldReach, newReach *Reach, d *Delta) (*Rows, bool) {
-	if d.AddedComps > 0 || old.n != newReach.n || oldReach.n != newReach.n {
-		return nil, false
-	}
-	n := old.n
-	k := len(newReach.compReach)
-	if len(oldReach.compReach) != k {
-		return nil, false
-	}
-
-	// Exact changed-column set: the symmetric difference of every dirty
-	// row, old vs new.
-	dirty := make([]bool, k)
-	dcol := bitset.New(k)
-	diff := bitset.New(k)
-	for _, c := range d.Dirty {
-		if c < 0 || c >= k {
-			return nil, false
-		}
-		dirty[c] = true
-		or, nr := oldReach.compReach[c], newReach.compReach[c]
-		diff.CopyFrom(or)
-		diff.AndNot(nr)
-		dcol.Or(diff)
-		diff.CopyFrom(nr)
-		diff.AndNot(or)
-		dcol.Or(diff)
-	}
-	cols := dcol.Slice()
-
-	// Cost heuristic: each affected row costs an O(n) probe pass; give
-	// up once the affected slice stops being a small fraction of the
-	// full 2k-row rebuild.
-	affected := len(d.Dirty) + len(cols)
-	if affected*4 > k && affected > 64 {
-		return nil, false
-	}
-
-	comp := newReach.comp
-	newFwd := make(map[int]*bitset.Set, len(d.Dirty))
-	for _, c := range d.Dirty {
-		row := bitset.New(n)
-		cr := newReach.compReach[c]
-		for w := 0; w < n; w++ {
-			if cr.Contains(comp[w]) {
-				row.Add(w)
-			}
-		}
-		newFwd[c] = row
-	}
-	colMark := make([]bool, k)
-	newBwd := make(map[int]*bitset.Set, len(cols))
-	for _, dc := range cols {
-		colMark[dc] = true
-		row := bitset.New(n)
-		for w := 0; w < n; w++ {
-			if newReach.compReach[comp[w]].Contains(dc) {
-				row.Add(w)
-			}
-		}
-		newBwd[dc] = row
-	}
-
-	fwd := make([]*bitset.Set, n)
-	bwd := make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		c := comp[v]
-		if dirty[c] {
-			fwd[v] = newFwd[c]
-		} else {
-			fwd[v] = old.fwd[v]
-		}
-		if colMark[c] {
-			bwd[v] = newBwd[c]
-		} else {
-			bwd[v] = old.bwd[v]
-		}
-	}
-	rowBytes := 8 * ((n + 63) / 64)
-	return &Rows{
-		n:   n,
-		fwd: fwd,
-		bwd: bwd,
-		// Replaced rows stay live only until the old expansion is
-		// dropped; counting both is a conservative over-estimate the
-		// cache accounting tolerates.
-		ownedBytes: old.ownedBytes + affected*rowBytes,
-	}, true
 }

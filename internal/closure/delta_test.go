@@ -51,22 +51,6 @@ func requireSameClosure(t *testing.T, want, got *Reach, label string) {
 	}
 }
 
-func requireSameRows(t *testing.T, want, got *Rows, label string) {
-	t.Helper()
-	if want.NumNodes() != got.NumNodes() {
-		t.Fatalf("%s: rows node count %d vs %d", label, got.NumNodes(), want.NumNodes())
-	}
-	for v := 0; v < want.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if !want.Fwd(id).Equal(got.Fwd(id)) {
-			t.Fatalf("%s: fwd row %d differs", label, v)
-		}
-		if !want.Bwd(id).Equal(got.Bwd(id)) {
-			t.Fatalf("%s: bwd row %d differs", label, v)
-		}
-	}
-}
-
 func deltaRandGraph(rng *rand.Rand, n int, edges int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -126,7 +110,7 @@ func TestApplyEdgesRandomEquivalence(t *testing.T) {
 		r0 := Compute(g0)
 		before := reachMatrix(r0)
 
-		nr, d, ok := r0.ApplyEdges(g0, addedNodes, dels, adds, 1<<30)
+		nr, _, ok := r0.ApplyEdges(g0, addedNodes, dels, adds, 1<<30)
 
 		// The receiver must be untouched either way.
 		after := reachMatrix(r0)
@@ -142,15 +126,6 @@ func TestApplyEdgesRandomEquivalence(t *testing.T) {
 		g2 := applyForTest(t, g0, addedNodes, dels, adds)
 		want := Compute(g2)
 		requireSameClosure(t, want, nr, fmt.Sprintf("trial %d", trial))
-
-		// Dense-tier maintenance must match a fresh expansion bit for
-		// bit whenever it reports success.
-		if d.AddedComps == 0 {
-			old := NewRows(r0)
-			if up, ok2 := UpdateRows(old, r0, nr, d); ok2 {
-				requireSameRows(t, NewRows(nr), up, fmt.Sprintf("trial %d rows", trial))
-			}
-		}
 	}
 	if applied < trials/4 {
 		t.Fatalf("incremental path succeeded only %d/%d times — fallback too eager", applied, trials)

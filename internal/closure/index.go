@@ -1,47 +1,22 @@
 package closure
 
 import (
-	"fmt"
 	"sync"
 
 	"graphmatch/internal/bitset"
 	"graphmatch/internal/graph"
 )
 
-// This file defines the tiered reachability layer. The matcher's trim
-// (Fig. 4 line 4) and the decision pre-filter both consult the
-// adjacency matrix H2 of G2+, but how that matrix is represented is a
-// memory/throughput trade-off:
-//
-//   - TierDense materialises per-node closure rows (closure.Rows) —
-//     word-level And sweeps, O(n₂²) bits in the worst case. Fast, and
-//     fine while graphs are small.
-//
-//   - TierSparse answers every query straight from the SCC-condensed
-//     Reach index (component rows over k components plus the per-node
-//     component assignment, the Appendix B representation): an O(1)
-//     two-array probe per candidate, O(k²) bits total. On a data graph
-//     whose condensation is small — the shape real web/social graphs
-//     take, one giant strongly connected core plus a fringe — this
-//     removes the quadratic-in-n₂ memory term entirely, which is what
-//     lets phomd register ≥100k-node graphs.
-//
-// Both tiers answer the same queries through the Index interface, and
-// the candidate-sparse trim is exact (TestTierEquivalence pins that
-// every approximation algorithm returns bit-identical mappings under
-// either tier); only the constant factors differ.
-
-// Tier names a reachability representation.
-type Tier string
-
-const (
-	// TierDense is the materialised per-node closure rows of
-	// closure.Rows.
-	TierDense Tier = "dense"
-	// TierSparse is the candidate-sparse component-probe representation
-	// of CompIndex.
-	TierSparse Tier = "sparse"
-)
+// This file defines the reachability index the matchers consume. The
+// trim of greedyMatch (Fig. 4 line 4) and the decision pre-filter both
+// consult the adjacency matrix H2 of G2+; CompIndex answers those
+// queries straight from the SCC-condensed Reach (component rows over k
+// components plus the per-node component id, the Appendix B
+// representation): an O(1) two-array probe per candidate, O(k²) bits
+// in total. On a data graph whose condensation is small — the shape
+// real web/social graphs take, one giant strongly connected core plus a
+// fringe — no O(n₂²) node-level matrix is ever materialised, which is
+// what lets phomd register ≥100k-node graphs.
 
 // Index answers the reachability queries the matching algorithms
 // consume: point lookups, fan counts for the decision pre-filter, and
@@ -50,8 +25,6 @@ const (
 type Index interface {
 	// NumNodes reports the number of data-graph nodes covered.
 	NumNodes() int
-	// Tier identifies the representation.
-	Tier() Tier
 	// Reachable reports whether a nonempty path u ⇝ v exists.
 	Reachable(u, v graph.NodeID) bool
 	// FanOut reports |{w : u ⇝ w}|, the number of nodes reachable from
@@ -67,44 +40,9 @@ type Index interface {
 	// needBwd/needFwd must be set. The returns report non-emptiness of
 	// kept and moved so callers avoid a separate scan.
 	Split(cand *bitset.Set, u graph.NodeID, needBwd, needFwd bool, kept, moved *bitset.Set) (anyKept, anyMoved bool)
-	// Bytes approximates the heap bytes held by the index beyond what
-	// the underlying Reach already accounts for (cache accounting).
-	Bytes() int
 }
 
-// Rows implements Index as the dense tier.
-
-// Tier identifies Rows as the dense tier.
-func (rw *Rows) Tier() Tier { return TierDense }
-
-// Reachable reports whether a nonempty path u ⇝ v exists.
-func (rw *Rows) Reachable(u, v graph.NodeID) bool { return rw.fwd[u].Contains(int(v)) }
-
-// FanOut reports the number of nodes reachable from u, as a word-level
-// population count of u's forward row.
-func (rw *Rows) FanOut(u graph.NodeID) int { return rw.fwd[u].Count() }
-
-// FanIn reports the number of nodes that reach u.
-func (rw *Rows) FanIn(u graph.NodeID) int { return rw.bwd[u].Count() }
-
-// Split is the word-level trim: one SplitInto pass against the masked
-// closure rows of u.
-func (rw *Rows) Split(cand *bitset.Set, u graph.NodeID, needBwd, needFwd bool, kept, moved *bitset.Set) (anyKept, anyMoved bool) {
-	var a, b *bitset.Set
-	if needBwd {
-		a = rw.bwd[u]
-	}
-	if needFwd {
-		if a == nil {
-			a = rw.fwd[u]
-		} else {
-			b = rw.fwd[u]
-		}
-	}
-	return cand.SplitInto(a, b, kept, moved)
-}
-
-// CompIndex is the candidate-sparse tier: it answers every query
+// CompIndex is the candidate-sparse Index: it answers every query
 // directly from the SCC-condensed Reach index, never materialising
 // node-level rows. A reachability probe is two array loads and one bit
 // test (comp[w] into the component row of comp[u]); the trim iterates
@@ -124,16 +62,13 @@ type CompIndex struct {
 	fanIn   []int32 // fanIn[d] = Σ size(c) over c with d ∈ compReach[c]
 }
 
-// NewCompIndex wraps a Reach index as a candidate-sparse Index.
-// Construction is O(1): every structure it consults already lives in
-// the Reach.
+// NewCompIndex wraps a Reach index as an Index. Construction is O(1):
+// every structure it consults already lives in the Reach, so a patched
+// closure is re-indexed by wrapping it again.
 func NewCompIndex(r *Reach) *CompIndex { return &CompIndex{r: r} }
 
 // NumNodes reports the number of nodes the index covers.
 func (ci *CompIndex) NumNodes() int { return ci.r.n }
-
-// Tier identifies CompIndex as the sparse tier.
-func (ci *CompIndex) Tier() Tier { return TierSparse }
 
 // Reachable reports whether a nonempty path u ⇝ v exists.
 func (ci *CompIndex) Reachable(u, v graph.NodeID) bool { return ci.r.Reachable(u, v) }
@@ -210,84 +145,3 @@ func (ci *CompIndex) buildFans() {
 // arrays (reported whether or not they are built yet, so cache
 // accounting does not shift after a decide request).
 func (ci *CompIndex) Bytes() int { return 2 * 4 * len(ci.r.compReach) }
-
-// ProjectedRowsBytes reports what NewRows would allocate for r without
-// building anything — the quantity tier selection weighs against
-// DefaultDenseMaxBytes, and the "dense projection" the large-graph
-// benchmark compares resident memory to.
-func ProjectedRowsBytes(r *Reach) int {
-	n, k := r.n, len(r.compReach)
-	identity := k == n
-	if identity {
-		for v, c := range r.comp {
-			if c != v {
-				identity = false
-				break
-			}
-		}
-	}
-	rowBytes := 8 * ((n + 63) / 64)
-	owned := 2 * n * 8 // fwd/bwd pointer slices
-	if identity {
-		owned += k * rowBytes // compBwd only; fwd aliases Reach rows
-	} else {
-		owned += 2 * k * rowBytes
-	}
-	return owned
-}
-
-// TierPolicy selects how an Index is built from a Reach.
-type TierPolicy string
-
-const (
-	// PolicyAuto picks the dense tier while its projected size fits the
-	// configured budget and the sparse tier beyond it.
-	PolicyAuto TierPolicy = "auto"
-	// PolicyDense forces materialised rows regardless of size.
-	PolicyDense TierPolicy = "dense"
-	// PolicySparse forces the candidate-sparse tier.
-	PolicySparse TierPolicy = "sparse"
-)
-
-// ParseTierPolicy validates a wire/flag tier policy; empty means auto.
-func ParseTierPolicy(s string) (TierPolicy, error) {
-	switch p := TierPolicy(s); p {
-	case "":
-		return PolicyAuto, nil
-	case PolicyAuto, PolicyDense, PolicySparse:
-		return p, nil
-	default:
-		return "", fmt.Errorf("closure: unknown tier policy %q (want auto, dense or sparse)", s)
-	}
-}
-
-// DefaultDenseMaxBytes is the auto-tier threshold: a graph whose
-// projected dense rows stay under it gets TierDense, anything larger
-// gets TierSparse. 64 MiB keeps every graph up to roughly 10–15k nodes
-// on the fast dense path while guaranteeing one registered graph can
-// never demand gigabytes of row matrices.
-const DefaultDenseMaxBytes = 64 << 20
-
-// BuildIndex materialises an Index over r under the given policy.
-// A non-positive denseMaxBytes means DefaultDenseMaxBytes.
-func BuildIndex(r *Reach, policy TierPolicy, denseMaxBytes int) Index {
-	if denseMaxBytes <= 0 {
-		denseMaxBytes = DefaultDenseMaxBytes
-	}
-	switch policy {
-	case PolicyDense:
-		return NewRows(r)
-	case PolicySparse:
-		return NewCompIndex(r)
-	default:
-		if ProjectedRowsBytes(r) <= denseMaxBytes {
-			return NewRows(r)
-		}
-		return NewCompIndex(r)
-	}
-}
-
-// AutoIndex is BuildIndex under the default policy and threshold — the
-// representation an Instance derives on its own when no catalog injects
-// a shared one.
-func AutoIndex(r *Reach) Index { return BuildIndex(r, PolicyAuto, DefaultDenseMaxBytes) }

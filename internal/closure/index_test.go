@@ -1,94 +1,141 @@
 package closure
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"graphmatch/internal/bitset"
 	"graphmatch/internal/graph"
 )
 
-// tierIndexes builds both tiers over the same Reach.
-func tierIndexes(r *Reach) []Index {
-	return []Index{NewRows(r), NewCompIndex(r)}
+// indexShapes returns every Reach shape a CompIndex serves, over one
+// random graph: the SCC-condensed closure, the per-node BFS closure,
+// path-limit closures, and — when the incremental update applies — a
+// closure patched by ApplyEdges with at least one appended node, whose
+// component rows carry the grown capacity.
+func indexShapes(rng *rand.Rand) map[string]*Reach {
+	n := 1 + rng.Intn(30)
+	g := deltaRandGraph(rng, n, rng.Intn(3*n))
+	r := Compute(g)
+	shapes := map[string]*Reach{
+		"scc":      r,
+		"bfs":      ComputeBFS(g),
+		"bounded1": ComputeBounded(g, 1),
+		"bounded3": ComputeBounded(g, 3),
+	}
+	for try := 0; try < 8; try++ {
+		added, dels, adds := randomPatch(rng, g)
+		if added == 0 {
+			added = 1 // adds stay in range: their endpoints are < n+added
+		}
+		if nr, _, ok := r.ApplyEdges(g, added, dels, adds, 1<<30); ok {
+			shapes["patched"] = nr
+			break
+		}
+	}
+	return shapes
 }
 
-func TestIndexTiersAgreeOnQueries(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomRowsGraph(25+int(seed), 60+4*int(seed), seed)
-		for _, r := range []*Reach{Compute(g), ComputeBFS(g), ComputeBounded(g, 2)} {
-			rows, comp := NewRows(r), NewCompIndex(r)
-			n := r.NumNodes()
-			for u := 0; u < n; u++ {
-				uu := graph.NodeID(u)
-				if rows.FanOut(uu) != comp.FanOut(uu) {
-					t.Fatalf("seed %d: FanOut(%d): dense %d, sparse %d", seed, u, rows.FanOut(uu), comp.FanOut(uu))
+// checkCompIndex compares every CompIndex query against point probes of
+// the Reach it wraps: Reachable pair by pair, FanOut/FanIn as counts of
+// those probes, and Split at every pivot under each of the three
+// constraint combinations, with kept and moved pre-filled so stale bits
+// must be overwritten.
+func checkCompIndex(r *Reach, rng *rand.Rand) error {
+	ci := NewCompIndex(r)
+	n := r.NumNodes()
+	if ci.NumNodes() != n {
+		return fmt.Errorf("NumNodes = %d, want %d", ci.NumNodes(), n)
+	}
+	for u := 0; u < n; u++ {
+		uu := graph.NodeID(u)
+		out, in := 0, 0
+		for v := 0; v < n; v++ {
+			vv := graph.NodeID(v)
+			want := r.Reachable(uu, vv)
+			if ci.Reachable(uu, vv) != want {
+				return fmt.Errorf("Reachable(%d,%d) = %v, want %v", u, v, !want, want)
+			}
+			if want {
+				out++
+			}
+			if r.Reachable(vv, uu) {
+				in++
+			}
+		}
+		if got := ci.FanOut(uu); got != out {
+			return fmt.Errorf("FanOut(%d) = %d, want %d", u, got, out)
+		}
+		if got := ci.FanIn(uu); got != in {
+			return fmt.Errorf("FanIn(%d) = %d, want %d", u, got, in)
+		}
+	}
+	cand, kept, moved := bitset.New(n), bitset.New(n), bitset.New(n)
+	for u := 0; u < n; u++ {
+		uu := graph.NodeID(u)
+		cand.Clear()
+		for w := 0; w < n; w++ {
+			if rng.Intn(3) != 0 {
+				cand.Add(w)
+			}
+		}
+		for _, need := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+			needBwd, needFwd := need[0], need[1]
+			kept.Fill()
+			moved.Fill()
+			anyKept, anyMoved := ci.Split(cand, uu, needBwd, needFwd, kept, moved)
+			wantKept, wantMoved := false, false
+			for w := 0; w < n; w++ {
+				ww := graph.NodeID(w)
+				ok := (!needBwd || r.Reachable(ww, uu)) && (!needFwd || r.Reachable(uu, ww))
+				inKept, inMoved := cand.Contains(w) && ok, cand.Contains(w) && !ok
+				if kept.Contains(w) != inKept || moved.Contains(w) != inMoved {
+					return fmt.Errorf("Split(u=%d, bwd=%v, fwd=%v) misplaced node %d", u, needBwd, needFwd, w)
 				}
-				if rows.FanIn(uu) != comp.FanIn(uu) {
-					t.Fatalf("seed %d: FanIn(%d): dense %d, sparse %d", seed, u, rows.FanIn(uu), comp.FanIn(uu))
-				}
-				for v := 0; v < n; v++ {
-					vv := graph.NodeID(v)
-					want := r.Reachable(uu, vv)
-					if rows.Reachable(uu, vv) != want || comp.Reachable(uu, vv) != want {
-						t.Fatalf("seed %d: Reachable(%d,%d) disagrees with Reach", seed, u, v)
-					}
-				}
+				wantKept = wantKept || inKept
+				wantMoved = wantMoved || inMoved
+			}
+			if anyKept != wantKept || anyMoved != wantMoved {
+				return fmt.Errorf("Split(u=%d, bwd=%v, fwd=%v) flags (%v,%v), want (%v,%v)",
+					u, needBwd, needFwd, anyKept, anyMoved, wantKept, wantMoved)
 			}
 		}
 	}
+	return nil
 }
 
-func TestIndexTiersAgreeOnSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomRowsGraph(30, 80, seed)
-		r := Compute(g)
-		rows, comp := NewRows(r), NewCompIndex(r)
-		n := r.NumNodes()
-		for trial := 0; trial < 40; trial++ {
-			cand := bitset.New(n)
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					cand.Add(v)
-				}
+// TestCompIndexMatchesReach is the index quickcheck: over random graphs
+// and every Reach shape the catalog installs, each CompIndex answer
+// equals the Reach point probes it stands for.
+func TestCompIndexMatchesReach(t *testing.T) {
+	patched := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for name, r := range indexShapes(rng) {
+			if err := checkCompIndex(r, rng); err != nil {
+				t.Logf("seed %d %s: %v", seed, name, err)
+				return false
 			}
-			u := graph.NodeID(rng.Intn(n))
-			needBwd, needFwd := rng.Intn(2) == 0, rng.Intn(2) == 0
-			if !needBwd && !needFwd {
-				needFwd = true
-			}
-			// Pre-dirty the outputs: Split must fully overwrite them.
-			dk, dm := bitset.New(n), bitset.New(n)
-			dk.Fill()
-			dm.Fill()
-			sk, sm := bitset.New(n), bitset.New(n)
-			sk.Fill()
-			sm.Fill()
-			k1, m1 := rows.Split(cand, u, needBwd, needFwd, dk, dm)
-			k2, m2 := comp.Split(cand, u, needBwd, needFwd, sk, sm)
-			if k1 != k2 || m1 != m2 {
-				t.Fatalf("seed %d: Split flags disagree: dense (%v,%v) sparse (%v,%v)", seed, k1, m1, k2, m2)
-			}
-			if !dk.Equal(sk) || !dm.Equal(sm) {
-				t.Fatalf("seed %d u=%d bwd=%v fwd=%v: Split sets disagree", seed, u, needBwd, needFwd)
-			}
-			// Cross-check against the point queries.
-			for w := cand.Next(0); w >= 0; w = cand.Next(w + 1) {
-				ww := graph.NodeID(w)
-				want := (!needBwd || r.Reachable(ww, u)) && (!needFwd || r.Reachable(u, ww))
-				if dk.Contains(w) != want || dm.Contains(w) == want {
-					t.Fatalf("seed %d: Split misplaced candidate %d", seed, w)
-				}
+			if name == "patched" {
+				patched++
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if patched < 20 {
+		t.Fatalf("only %d of 60 graphs produced an ApplyEdges closure to check", patched)
 	}
 }
 
 func TestCompIndexBytesSmall(t *testing.T) {
-	// The whole point of the sparse tier: its owned memory is O(k), not
-	// O(n²) — on a graph with one big SCC it must undercut the dense
-	// rows by orders of magnitude.
+	// The point of the component index: its owned memory is O(k), not
+	// O(n²) — on a graph with one big SCC it must undercut a node-level
+	// n×n bit matrix by orders of magnitude.
 	n := 512
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -98,67 +145,11 @@ func TestCompIndexBytesSmall(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n)) // one giant cycle
 	}
 	g.Finish()
-	r := Compute(g)
-	comp := NewCompIndex(r)
-	rows := NewRows(r)
-	if comp.Bytes() >= rows.Bytes() {
-		t.Fatalf("CompIndex.Bytes %d not below Rows.Bytes %d", comp.Bytes(), rows.Bytes())
+	comp := NewCompIndex(Compute(g))
+	if matrix := n * n / 8; comp.Bytes() >= matrix/100 {
+		t.Fatalf("CompIndex.Bytes %d not far below the %d-byte node-level matrix", comp.Bytes(), matrix)
 	}
 	if comp.Bytes() <= 0 {
 		t.Fatalf("CompIndex.Bytes = %d, want > 0", comp.Bytes())
-	}
-}
-
-func TestProjectedRowsBytes(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g := randomRowsGraph(40+int(seed), 100, seed)
-		for _, r := range []*Reach{Compute(g), ComputeBFS(g)} {
-			if got, want := ProjectedRowsBytes(r), NewRows(r).Bytes(); got != want {
-				t.Fatalf("seed %d: ProjectedRowsBytes = %d, NewRows allocated %d", seed, got, want)
-			}
-		}
-	}
-}
-
-func TestParseTierPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want TierPolicy
-		ok   bool
-	}{
-		{"", PolicyAuto, true},
-		{"auto", PolicyAuto, true},
-		{"dense", PolicyDense, true},
-		{"sparse", PolicySparse, true},
-		{"rows", "", false},
-	} {
-		got, err := ParseTierPolicy(tc.in)
-		if (err == nil) != tc.ok {
-			t.Fatalf("ParseTierPolicy(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParseTierPolicy(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestBuildIndexPolicy(t *testing.T) {
-	g := randomRowsGraph(60, 150, 3)
-	r := Compute(g)
-	if tier := BuildIndex(r, PolicyDense, 0).Tier(); tier != TierDense {
-		t.Fatalf("PolicyDense built %q", tier)
-	}
-	if tier := BuildIndex(r, PolicySparse, 0).Tier(); tier != TierSparse {
-		t.Fatalf("PolicySparse built %q", tier)
-	}
-	// Auto: a tiny budget forces sparse, a huge one allows dense.
-	if tier := BuildIndex(r, PolicyAuto, 1).Tier(); tier != TierSparse {
-		t.Fatalf("auto with 1-byte budget built %q", tier)
-	}
-	if tier := BuildIndex(r, PolicyAuto, 1<<30).Tier(); tier != TierDense {
-		t.Fatalf("auto with 1GiB budget built %q", tier)
-	}
-	if tier := AutoIndex(r).Tier(); tier != TierDense {
-		t.Fatalf("AutoIndex on a 60-node graph built %q, want dense", tier)
 	}
 }

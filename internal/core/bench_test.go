@@ -12,14 +12,9 @@ import (
 
 // Benchmarks for the serving hot path: per-request matcher setup and
 // the greedyMatch recursion, under the catalog-cached regime (the
-// data graph's closure and closure rows are built once and shared, as
-// internal/catalog does for every registered graph).
-//
-// BenchmarkMatcherSetup vs BenchmarkMatcherSetupRowBuild quantifies the
-// tentpole win: with shared rows, setup touches only the O(n1) pattern
-// adjacency bitsets; without them, it re-materialises the O(n2²)
-// closure rows per request, which is what every request paid before
-// rows were shareable.
+// data graph's closure and its index are built once and shared, as
+// internal/catalog does for every registered graph), so setup touches
+// only the O(n1) pattern adjacency bitsets.
 
 func benchGraph(n, avgDeg int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -50,18 +45,18 @@ func benchPattern(g *graph.Graph, size int, seed int64) *graph.Graph {
 }
 
 // benchFixture returns the shared (catalog-resident) state: data graph,
-// pattern, closure, dense-tier index, and matrix.
+// pattern, closure, index, and matrix.
 func benchFixture() (g1, g2 *graph.Graph, mat simmatrix.Matrix, reach *closure.Reach, idx closure.Index) {
 	g2 = benchGraph(400, 4, 1)
 	g1 = benchPattern(g2, 10, 100)
 	reach = closure.Compute(g2)
-	idx = closure.NewRows(reach)
+	idx = closure.NewCompIndex(reach)
 	mat = simmatrix.NewLabelEquality(g1, g2)
 	return
 }
 
 // BenchmarkMatcherSetup is per-request matcher construction with the
-// catalog-shared closure AND rows installed — the serving fast path.
+// catalog-shared closure and index installed — the serving fast path.
 func BenchmarkMatcherSetup(b *testing.B) {
 	g1, g2, mat, reach, idx := benchFixture()
 	b.ReportAllocs()
@@ -70,21 +65,6 @@ func BenchmarkMatcherSetup(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		_ = in.newMatcher(false)
-	}
-}
-
-// BenchmarkMatcherSetupRowBuild is the same construction without shared
-// rows: each request re-derives the forward/backward closure rows from
-// the shared Reach index, reproducing the pre-rows cost every request
-// used to pay.
-func BenchmarkMatcherSetupRowBuild(b *testing.B) {
-	g1, g2, mat, reach, _ := benchFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := NewInstance(g1, g2, mat, 0.9)
-		in.SetReach(reach)
 		_ = in.newMatcher(false)
 	}
 }
@@ -100,23 +80,6 @@ func BenchmarkCompMaxCardServing(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		_ = in.CompMaxCard()
-	}
-}
-
-// BenchmarkCompMaxCardSparseTier is the same serving-shaped request
-// under the candidate-sparse index tier — the representation large
-// registered graphs get — quantifying the throughput cost of the O(k)
-// memory footprint against the dense baseline above.
-func BenchmarkCompMaxCardSparseTier(b *testing.B) {
-	g1, g2, mat, reach, _ := benchFixture()
-	sparse := closure.NewCompIndex(reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := NewInstance(g1, g2, mat, 0.9)
-		in.SetReach(reach)
-		in.SetIndex(sparse)
 		_ = in.CompMaxCard()
 	}
 }

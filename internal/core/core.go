@@ -135,26 +135,24 @@ func (in *Instance) SetReach(r *closure.Reach) {
 	in.mu.Unlock()
 }
 
-// Index returns the cached reachability index of G2 in the
-// representation greedyMatch's trim consumes — the dense closure rows
-// of G2+ on small graphs, the candidate-sparse component probes beyond
-// the auto-tier threshold (closure.AutoIndex) — deriving it from Reach
-// on first use. Like Reach, lazy initialisation is single-flight and
-// the result is immutable and safe to share across concurrent
-// algorithm calls.
+// Index returns the reachability index of G2 that greedyMatch's trim
+// consumes (closure.CompIndex, component probes over Reach), deriving
+// it from Reach on first use. Like Reach, lazy initialisation is
+// single-flight and the result is immutable and safe to share across
+// concurrent algorithm calls.
 func (in *Instance) Index() closure.Index {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.idx == nil {
-		in.idx = closure.AutoIndex(in.reachLocked())
+		in.idx = closure.NewCompIndex(in.reachLocked())
 	}
 	return in.idx
 }
 
 // SetIndex installs a precomputed reachability index for G2, mirroring
 // SetReach: the serving catalog builds each registered graph's index
-// once (choosing the tier by graph size) and every request-scoped
-// Instance consumes the shared copy, making per-request matcher setup
+// once, alongside its closure, and every request-scoped Instance
+// consumes the shared copy, making per-request matcher setup
 // near-free. The index must derive from the same Reach that SetReach
 // installs (the catalog guarantees this). Call it before the first
 // algorithm invocation.

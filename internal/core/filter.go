@@ -36,9 +36,8 @@ func (in *Instance) filterCandidates(cands [][]graph.NodeID, injective bool) fil
 	// needed for candidates that survive the cheap checks. When a
 	// shared reachability index is already installed (a serving
 	// request, or any instance that has run an approximation
-	// algorithm), each count is an O(1) Index lookup — a word-level
-	// population count on the dense tier, a precomputed per-component
-	// aggregate on the sparse tier; the filter deliberately does NOT
+	// algorithm), each count is an O(1) Index lookup of a precomputed
+	// per-component aggregate; the filter deliberately does NOT
 	// force an index build, because the decision procedures otherwise
 	// never need one and a filtered decide on a cold instance should
 	// not pay for it — the fallback probes the Reach index per

@@ -90,24 +90,29 @@ func TestFilterKeepsLeafCandidates(t *testing.T) {
 }
 
 func TestFilterRowsAndFallbackAgree(t *testing.T) {
-	// The filter uses materialised closure rows when an instance has
-	// them and per-candidate Reach probes when it does not; both paths
-	// must prune identically and preserve the decision.
-	for seed := int64(0); seed < 12; seed++ {
-		cold := randomInstance(seed, 5, 9)
-		warm := randomInstance(seed, 5, 9)
-		warm.Index() // force the indexed fast path
-		mc, okc := cold.DecideFiltered()
-		mw, okw := warm.DecideFiltered()
-		if okc != okw {
-			t.Fatalf("seed %d: cold=%v warm=%v", seed, okc, okw)
-		}
-		if len(mc) != len(mw) {
-			t.Fatalf("seed %d: witness sizes differ: %v vs %v", seed, mc, mw)
-		}
-		for v, u := range mc {
-			if mw[v] != u {
-				t.Fatalf("seed %d: witnesses differ: %v vs %v", seed, mc, mw)
+	// The filter reads fan counts from the instance's reachability index
+	// when one is built and probes Reach per candidate when it is not;
+	// both paths must prune identically and preserve the decision, for
+	// the p-hom and the 1-1 decision procedures alike.
+	for seed := int64(0); seed < 25; seed++ {
+		for _, injective := range []bool{false, true} {
+			cold := randomInstance(seed, 5, 9)
+			warm := randomInstance(seed, 5, 9)
+			warm.Index() // force the indexed fast path
+			decide := (*Instance).DecideFiltered
+			if injective {
+				decide = (*Instance).Decide11Filtered
+			}
+			mc, okc := decide(cold)
+			mw, okw := decide(warm)
+			if okc != okw {
+				t.Fatalf("seed %d injective=%v: cold=%v warm=%v", seed, injective, okc, okw)
+			}
+			mappingsEqual(t, "filtered witness", seed, mw, mc)
+			if okw {
+				if err := warm.CheckMapping(mw, injective); err != nil {
+					t.Fatalf("seed %d injective=%v: %v", seed, injective, err)
+				}
 			}
 		}
 	}

@@ -27,16 +27,14 @@ import (
 //
 // The hot path is engineered to be allocation-free in steady state: the
 // reachability index of G2+ is shared immutable state (closure.Index,
-// injected by the serving catalog or built once per instance; dense
-// rows on small graphs, candidate-sparse component probes on large
-// ones), matching lists use dense slice-indexed storage instead of
-// maps, the trim is a single Index.Split pass producing the kept and
+// injected by the serving catalog or built once per instance),
+// matching lists use dense slice-indexed storage instead of maps, the
+// trim is a single Index.Split pass producing the kept and
 // displaced candidates together, and lists, candidate bitsets and pair
 // buffers are recycled through per-matcher free lists.
 // TestGreedyMatchAllocationFree pins the zero-allocation property; the
 // equivalence tests pin that the restructuring returns bit-identical
-// mappings to the direct transcription of Figs. 3–4, and
-// TestTierEquivalence pins that both index tiers agree bit for bit.
+// mappings to the direct transcription of Figs. 3–4.
 
 // Pair is one candidate match (v, u) handled by the matching list.
 type Pair struct {
@@ -104,7 +102,7 @@ type SearchStats struct {
 
 // matcher carries the per-run state shared by all greedyMatch
 // invocations: the pattern adjacency (H1), the shared reachability
-// index of G2+ (H2, either tier), the injectivity flag, and the free
+// index of G2+ (H2), the injectivity flag, and the free
 // lists that make the recursion allocation-free. A matcher is
 // single-use and single-goroutine; concurrency happens one matcher per
 // call.
@@ -302,8 +300,7 @@ func (mx *matcher) greedyMatchAt(h *matchList, depth int) (sigma, conflicts []Pa
 	// Line 4 (trimMatching) merged with lines 5–9 (partition): for every
 	// other node, trim its candidates against the reachability
 	// constraints the edges demand; displaced candidates go to H−. One
-	// Index.Split pass (a word-level SplitInto on the dense tier, a
-	// per-candidate component probe on the sparse tier) yields the kept
+	// Index.Split pass (a component probe per candidate) yields the kept
 	// and displaced candidates together.
 	for _, v2 := range h.nodes {
 		if v2 == v {

@@ -57,6 +57,30 @@ func TestPartitionedMatchesDirectQuality(t *testing.T) {
 	}
 }
 
+func TestPartitionedMaxCardMatchesReference(t *testing.T) {
+	// Partitioning shares the parent's closure and index across every
+	// sub-instance; each part must still get exactly what the reference
+	// matcher returns on a cold copy of that part, which derives its own
+	// closure and reads it through Reach.ReachableSet.
+	for seed := int64(0); seed < 25; seed++ {
+		in := randomInstance(seed, 8, 24)
+		want := Mapping{}
+		for _, part := range in.partitionComponents() {
+			if part.sub.G1.NumNodes() == 1 {
+				if u := in.bestCandidate(part.orig[0]); u != graph.Invalid {
+					want[part.orig[0]] = u
+				}
+				continue
+			}
+			cold := NewInstance(part.sub.G1, in.G2, part.sub.Mat, in.Xi)
+			for v, u := range refCompMaxCard(cold, false, false) {
+				want[part.orig[v]] = u
+			}
+		}
+		mappingsEqual(t, "PartitionedMaxCard", seed, in.PartitionedMaxCard(), want)
+	}
+}
+
 func TestPartitionedSingletonComponents(t *testing.T) {
 	// Fully disconnected pattern: every component is a singleton and takes
 	// its best candidate.

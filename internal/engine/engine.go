@@ -186,14 +186,6 @@ type Options struct {
 	// MaxClosureBytes bounds the catalog's resident closure + index
 	// bytes; LRU entries are evicted past it. 0 means unbounded.
 	MaxClosureBytes int64
-	// ReachTier selects the reachability-index tier the catalog builds
-	// for registered graphs: closure.PolicyAuto (the default — dense
-	// rows while they fit DenseMaxBytes, candidate-sparse beyond),
-	// closure.PolicyDense or closure.PolicySparse.
-	ReachTier closure.TierPolicy
-	// DenseMaxBytes overrides the auto-tier threshold; 0 keeps
-	// closure.DefaultDenseMaxBytes.
-	DenseMaxBytes int
 	// QueueDepth bounds pending tasks before Match blocks; defaults to
 	// 4 × Workers.
 	QueueDepth int
@@ -234,7 +226,7 @@ type Options struct {
 	// StorePath, when non-empty, makes the catalog durable: mutations
 	// (Register, Remove, ApplyPatch) are written to a WAL in this
 	// directory and fsynced before they are acknowledged, and Open
-	// replays snapshot + WAL to rebuild the catalog — closure tiers and
+	// replays snapshot + WAL to rebuild the catalog — closures and
 	// search index included — before returning. Engines with a
 	// StorePath must be created with Open, not New.
 	StorePath string
@@ -477,8 +469,6 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		cat: catalog.New(opts.MaxClosures,
 			catalog.WithMaxBytes(opts.MaxClosureBytes),
-			catalog.WithTierPolicy(opts.ReachTier),
-			catalog.WithDenseMaxBytes(opts.DenseMaxBytes),
 			catalog.WithDeltaBudget(opts.ClosureDeltaBudget)),
 		queue:            make(chan *task, depth),
 		inflight:         make(map[reqKey]*task),
@@ -914,10 +904,8 @@ func (e *Engine) execute(ctx context.Context, req Request) Result {
 		return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
 	}
 	// Resolve one View: the graph, its closure, its content sets and
-	// the catalog's tiered reachability index (dense rows or
-	// candidate-sparse, whichever the catalog selected for the graph's
-	// size) all come from the same commit, whatever patches land while
-	// the request runs.
+	// the catalog's reachability index all come from the same commit,
+	// whatever patches land while the request runs.
 	v, err := e.cat.View(req.GraphName)
 	if err != nil {
 		return Result{Err: err}

@@ -101,20 +101,8 @@ func (e *Engine) initMetrics() {
 	r.GaugeFunc("phomd_catalog_resident_bytes",
 		"Approximate heap held by resident closures and indexes.",
 		func() float64 { return float64(e.cat.Stats().ResidentBytes) })
-	r.GaugeFunc("phomd_catalog_resident_dense",
-		"Resident matcher indexes on the dense tier.",
-		func() float64 { return float64(e.cat.Stats().ResidentDense) })
-	r.GaugeFunc("phomd_catalog_resident_sparse",
-		"Resident matcher indexes on the candidate-sparse tier.",
-		func() float64 { return float64(e.cat.Stats().ResidentSparse) })
-	r.GaugeFunc("phomd_catalog_dense_index_bytes",
-		"Approximate heap held by dense-tier matcher indexes.",
-		func() float64 { return float64(e.cat.Stats().DenseIndexBytes) })
-	r.GaugeFunc("phomd_catalog_sparse_index_bytes",
-		"Approximate heap held by sparse-tier matcher indexes.",
-		func() float64 { return float64(e.cat.Stats().SparseIndexBytes) })
 	r.CounterFunc("phomd_catalog_closure_build_seconds_total",
-		"Cumulative wall time spent building closures and closure rows.",
+		"Cumulative wall time spent building and delta-patching closures.",
 		func() float64 { return e.cat.Stats().BuildTime.Seconds() })
 
 	// Live mutation (patch) maintenance.

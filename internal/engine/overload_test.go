@@ -61,40 +61,45 @@ func newOverloadEngine(t *testing.T, maxPending int) *Engine {
 	return e
 }
 
+// TestAdmissionControlSheds fills the engine to MaxPending while the
+// single worker is held at pickup, so every further submission must be
+// shed and exactly the admitted ones served, however long a decide
+// takes — which is why a short path graph suffices.
 func TestAdmissionControlSheds(t *testing.T) {
-	e := newOverloadEngine(t, 2)
-	ctx := context.Background()
-	const n = 8
-	results := make([]Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = e.Match(ctx, slowReq(i))
-		}(i)
+	const maxPending, extra = 2, 6
+	e := New(Options{Workers: 1, QueueDepth: 4, MaxPending: maxPending})
+	t.Cleanup(e.Close)
+	if err := e.Register("path", pathGraph(8)); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	var shed, served int
-	for _, r := range results {
-		switch {
-		case errors.Is(r.Err, ErrOverloaded):
-			shed++
-		case r.Err == nil:
-			served++
-		default:
-			t.Fatalf("unexpected error: %v", r.Err)
+	gate := holdWorkers(e)
+	t.Cleanup(gate.release)
+	ctx := context.Background()
+
+	// One task held by the worker, the rest queued: pending reaches
+	// MaxPending without anything finishing.
+	admitted := make(chan Result, maxPending)
+	for i := 0; i < maxPending; i++ {
+		go func(i int) { admitted <- e.Match(ctx, slowReq(i)) }(i)
+		if i == 0 {
+			gate.next(t)
 		}
 	}
-	if shed == 0 {
-		t.Fatalf("no requests shed with MaxPending=2 and %d concurrent slow requests", n)
+	waitUntil(t, "pending reached MaxPending", func() bool { return e.Stats().Pending == maxPending })
+
+	for i := maxPending; i < maxPending+extra; i++ {
+		if res := e.Match(ctx, slowReq(i)); !errors.Is(res.Err, ErrOverloaded) {
+			t.Fatalf("request %d at MaxPending: err = %v, want ErrOverloaded", i, res.Err)
+		}
 	}
-	if served == 0 {
-		t.Fatal("every request shed: admitted work should still complete")
+	gate.release()
+	for i := 0; i < maxPending; i++ {
+		if res := <-admitted; res.Err != nil {
+			t.Fatalf("admitted request failed: %v", res.Err)
+		}
 	}
-	st := e.Stats()
-	if st.Shed != uint64(shed) {
-		t.Fatalf("Stats.Shed = %d, want %d", st.Shed, shed)
+	if st := e.Stats(); st.Shed != extra {
+		t.Fatalf("Stats.Shed = %d, want %d", st.Shed, extra)
 	}
 	// The engine must fully recover once the burst drains.
 	if res := e.Match(ctx, slowReq(0)); res.Err != nil {

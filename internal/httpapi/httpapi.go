@@ -8,7 +8,7 @@
 //
 //	POST   /v1/graphs          register a data graph {"name": ..., "graph": {...}}
 //	GET    /v1/graphs          list registered graph names (sorted)
-//	GET    /v1/graphs/{name}   describe one graph (size, resident closure tier/bytes)
+//	GET    /v1/graphs/{name}   describe one graph (size, resident closure bytes)
 //	PATCH  /v1/graphs/{name}   apply a live edge/node patch (add_nodes, add_edges,
 //	                           del_edges, set_content); durable before acknowledged
 //	                           when the server runs with -store
