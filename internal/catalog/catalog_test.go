@@ -725,66 +725,69 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 	if testing.Short() {
 		trials = 10
 	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		n := 4 + rng.Intn(12)
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			g.AddNode(fmt.Sprintf("n%d", i))
-		}
-		for i := 0; i < rng.Intn(3*n); i++ {
-			g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
-		g.Finish()
+	// The catalog builds one index, the candidate-sparse CompIndex.
+	t.Run("sparse", func(t *testing.T) {
+		for trial := 0; trial < trials; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			n := 4 + rng.Intn(12)
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				g.AddNode(fmt.Sprintf("n%d", i))
+			}
+			for i := 0; i < rng.Intn(3*n); i++ {
+				g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+			}
+			g.Finish()
 
-		inc := New(0)
-		reb := New(0, WithDeltaBudget(-1))
-		for _, c := range []*Catalog{inc, reb} {
-			if err := c.Register("g", g); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, err := c.GetWithIndexCtx(context.Background(), "g", 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		for step := 0; step < 6; step++ {
-			applyRandomPatch(t, rng, "g", inc, reb)
-			_, ri, ii, err := inc.GetWithIndexCtx(context.Background(), "g", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, rr, ir, err := reb.GetWithIndexCtx(context.Background(), "g", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ri.NumNodes() != rr.NumNodes() {
-				t.Fatalf("trial %d step %d: node counts diverge: %d vs %d", trial, step, ri.NumNodes(), rr.NumNodes())
-			}
-			for u := 0; u < ri.NumNodes(); u++ {
-				uu := graph.NodeID(u)
-				if ii.FanOut(uu) != ir.FanOut(uu) || ii.FanIn(uu) != ir.FanIn(uu) {
-					t.Fatalf("trial %d step %d: fan counts diverge at %d", trial, step, u)
+			inc := New(0)
+			reb := New(0, WithDeltaBudget(-1))
+			for _, c := range []*Catalog{inc, reb} {
+				if err := c.Register("g", g); err != nil {
+					t.Fatal(err)
 				}
-				for v := 0; v < ri.NumNodes(); v++ {
-					vv := graph.NodeID(v)
-					if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
-						t.Fatalf("trial %d step %d: reachability diverges at (%d,%d): inc=%v reb=%v",
-							trial, step, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
-					}
-					if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
-						t.Fatalf("trial %d step %d: index diverges at (%d,%d)", trial, step, u, v)
-					}
+				if _, _, _, err := c.GetWithIndexCtx(context.Background(), "g", 0); err != nil {
+					t.Fatal(err)
 				}
 			}
+
+			for step := 0; step < 6; step++ {
+				applyRandomPatch(t, rng, "g", inc, reb)
+				_, ri, ii, err := inc.GetWithIndexCtx(context.Background(), "g", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rr, ir, err := reb.GetWithIndexCtx(context.Background(), "g", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ri.NumNodes() != rr.NumNodes() {
+					t.Fatalf("trial %d step %d: node counts diverge: %d vs %d", trial, step, ri.NumNodes(), rr.NumNodes())
+				}
+				for u := 0; u < ri.NumNodes(); u++ {
+					uu := graph.NodeID(u)
+					if ii.FanOut(uu) != ir.FanOut(uu) || ii.FanIn(uu) != ir.FanIn(uu) {
+						t.Fatalf("trial %d step %d: fan counts diverge at %d", trial, step, u)
+					}
+					for v := 0; v < ri.NumNodes(); v++ {
+						vv := graph.NodeID(v)
+						if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
+							t.Fatalf("trial %d step %d: reachability diverges at (%d,%d): inc=%v reb=%v",
+								trial, step, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
+						}
+						if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
+							t.Fatalf("trial %d step %d: index diverges at (%d,%d)", trial, step, u, v)
+						}
+					}
+				}
+			}
+			if inc.Stats().PatchesIncremental == 0 {
+				t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
+			}
+			if reb.Stats().PatchesIncremental != 0 {
+				t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
+			}
 		}
-		if inc.Stats().PatchesIncremental == 0 {
-			t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
-		}
-		if reb.Stats().PatchesIncremental != 0 {
-			t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
-		}
-	}
+	})
 }
 
 // TestViewSurvivesCommit pins the View consistency rule: a View taken

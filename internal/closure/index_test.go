@@ -38,12 +38,10 @@ func indexShapes(rng *rand.Rand) map[string]*Reach {
 	return shapes
 }
 
-// checkCompIndex compares every CompIndex query against point probes of
-// the Reach it wraps: Reachable pair by pair, FanOut/FanIn as counts of
-// those probes, and Split at every pivot under each of the three
-// constraint combinations, with kept and moved pre-filled so stale bits
-// must be overwritten.
-func checkCompIndex(r *Reach, rng *rand.Rand) error {
+// checkCompIndexQueries compares the CompIndex point queries against
+// point probes of the Reach it wraps: Reachable pair by pair and
+// FanOut/FanIn as counts of those probes.
+func checkCompIndexQueries(r *Reach, _ *rand.Rand) error {
 	ci := NewCompIndex(r)
 	n := r.NumNodes()
 	if ci.NumNodes() != n {
@@ -72,6 +70,16 @@ func checkCompIndex(r *Reach, rng *rand.Rand) error {
 			return fmt.Errorf("FanIn(%d) = %d, want %d", u, got, in)
 		}
 	}
+	return nil
+}
+
+// checkCompIndexSplit compares CompIndex.Split against Reach point
+// probes at every pivot under each of the three constraint
+// combinations, with kept and moved pre-filled so stale bits must be
+// overwritten.
+func checkCompIndexSplit(r *Reach, rng *rand.Rand) error {
+	ci := NewCompIndex(r)
+	n := r.NumNodes()
 	cand, kept, moved := bitset.New(n), bitset.New(n), bitset.New(n)
 	for u := 0; u < n; u++ {
 		uu := graph.NodeID(u)
@@ -106,15 +114,16 @@ func checkCompIndex(r *Reach, rng *rand.Rand) error {
 	return nil
 }
 
-// TestCompIndexMatchesReach is the index quickcheck: over random graphs
-// and every Reach shape the catalog installs, each CompIndex answer
-// equals the Reach point probes it stands for.
-func TestCompIndexMatchesReach(t *testing.T) {
+// quickCheckShapes runs check over random graphs and every Reach shape
+// the catalog installs, and fails unless enough of the graphs produced
+// an ApplyEdges closure to check.
+func quickCheckShapes(t *testing.T, check func(*Reach, *rand.Rand) error) {
+	t.Helper()
 	patched := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for name, r := range indexShapes(rng) {
-			if err := checkCompIndex(r, rng); err != nil {
+			if err := check(r, rng); err != nil {
 				t.Logf("seed %d %s: %v", seed, name, err)
 				return false
 			}
@@ -130,6 +139,20 @@ func TestCompIndexMatchesReach(t *testing.T) {
 	if patched < 20 {
 		t.Fatalf("only %d of 60 graphs produced an ApplyEdges closure to check", patched)
 	}
+}
+
+// TestCompIndexQueriesMatchReach is the point-query half of the index
+// quickcheck: each CompIndex Reachable, FanOut and FanIn answer equals
+// the Reach point probes it stands for.
+func TestCompIndexQueriesMatchReach(t *testing.T) {
+	quickCheckShapes(t, checkCompIndexQueries)
+}
+
+// TestCompIndexSplitMatchesReach is the Split half of the index
+// quickcheck: every candidate lands in kept or moved exactly as the
+// Reach point probes say, and the returned flags match.
+func TestCompIndexSplitMatchesReach(t *testing.T) {
+	quickCheckShapes(t, checkCompIndexSplit)
 }
 
 func TestCompIndexBytesSmall(t *testing.T) {
